@@ -4,7 +4,7 @@ GO ?= go
 # detector must cover.
 RACE_PKGS = . ./internal/wang ./internal/traffic ./internal/safety ./internal/sim ./internal/wormhole ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved ./cmd/meshstress
 
-.PHONY: all build test vet fmt race bench bench-smoke bench-diff smoke chaos rel-smoke verify clean
+.PHONY: all build test vet fmt race bench bench-smoke bench-diff perf-smoke smoke chaos rel-smoke verify clean
 
 all: build
 
@@ -55,6 +55,28 @@ bench-diff:
 	$(GO) run ./cmd/meshbench -out /tmp/bench-diff-candidate.json \
 		-baseline BENCH_routing.json -tolerance 15
 
+# perf-smoke runs each end-to-end perfbench workload briefly and fails
+# unless its answer checks passed (zero wrong answers, zero acked-write
+# loss, a byte-identical sweep) and no operation failed. It is a
+# correctness gate, not a timing gate: the metrics it prints are
+# compared against nothing. Each workload runs 2 s, except the sweep:
+# its whole-run p90 needs 100 sweeps, which take ~5 s on 2 vCPUs.
+# perfbench/run.sh builds into .bench_build/.
+PERF_SMOKE = route_batch_binary:2 query_mix_json:2 churn_cluster:2 survivability_sweep:10
+
+perf-smoke:
+	@mkdir -p .bench_build
+	@for spec in $(PERF_SMOKE); do \
+		w=$${spec%%:*}; out=.bench_build/perf-smoke-$$w.out; \
+		bash perfbench/run.sh --workload $$w --seconds $${spec##*:} > $$out 2>&1; rc=$$?; \
+		cat $$out; \
+		[ $$rc -eq 0 ] || { echo "perf-smoke: $$w exited $$rc"; exit 1; }; \
+		case "$$(tail -n 1 $$out)" in \
+		*'"correct":true,'*'"failed":0,'*) echo "perf-smoke: $$w ok";; \
+		*) echo "perf-smoke: $$w failed its answer checks or an operation"; exit 1;; \
+		esac; \
+	done
+
 # smoke boots meshserved on an ephemeral port and drives a short
 # meshstress run against it (the cmd tests do this in-process too).
 smoke: build
@@ -91,8 +113,9 @@ rel-smoke:
 
 # verify is the gate for every change: formatting, static checks, full
 # build, the whole test suite, the race detector on the concurrent
-# packages, and the reliability analytic cross-check.
-verify: fmt vet build test race rel-smoke
+# packages, the reliability analytic cross-check, and the end-to-end
+# benchmark's answer checks.
+verify: fmt vet build test race rel-smoke perf-smoke
 
 clean:
 	$(GO) clean ./...

@@ -544,6 +544,20 @@ func measureScenario(out io.Writer, w, h, k, nDests int, seed int64, benchtime t
 			kbuf, _ = kr.RouteInto(kbuf[:0], src, destList[i%len(destList)])
 		}
 	})
+	// Centre-rooted routes stay short; uniform random healthy pairs
+	// cross the whole mesh in all four orientations, the traffic an
+	// end-to-end route batch sends.
+	uniform := uniformPairs(m, kernelGrid, seed, 4096)
+	for _, p := range uniform {
+		kbuf, _ = kr.RouteInto(kbuf[:0], p.Src, p.Dst) // build every orientation's view
+	}
+	record("route_kernel/route_uniform", 1, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := uniform[i%len(uniform)]
+			kbuf, _ = kr.RouteInto(kbuf[:0], p.Src, p.Dst)
+		}
+	})
 	var arena extmesh.RouteArena
 	net.RouteManyInto(&arena, pairs, extmesh.Blocks) // warm slabs and views
 	record("route_kernel/batch_into", len(pairs), func(b *testing.B) {
@@ -578,6 +592,28 @@ func measureScenario(out io.Writer, w, h, k, nDests int, seed int64, benchtime t
 	}
 	sc.Results = append(sc.Results, serveResults...)
 	return sc, nil
+}
+
+// uniformPairs draws n (source, destination) pairs uniformly from the
+// nodes outside the blocked grid, with distinct endpoints.
+func uniformPairs(m mesh.Mesh, blocked []bool, seed int64, n int) []extmesh.Pair {
+	var nodes []mesh.Coord
+	for i, b := range blocked {
+		if !b {
+			nodes = append(nodes, m.CoordOf(i))
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]extmesh.Pair, n)
+	for i := range out {
+		s := nodes[rng.Intn(len(nodes))]
+		d := nodes[rng.Intn(len(nodes))]
+		for d == s {
+			d = nodes[rng.Intn(len(nodes))]
+		}
+		out[i] = extmesh.Pair{Src: s, Dst: d}
+	}
+	return out
 }
 
 // boolSweepReach is the pre-bitset reachability algorithm — one bool

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -60,6 +61,7 @@ func TestRunProducesValidJSON(t *testing.T) {
 		"serve_binary/has_minimal_path_batch": false,
 		"route_kernel/next_hop":               false,
 		"route_kernel/route_into":             false,
+		"route_kernel/route_uniform":          false,
 		"route_kernel/batch_into":             false,
 		"route_kernel/oracle_into":            false,
 		"route_kernel/view_build":             false,
@@ -188,24 +190,90 @@ func TestDiffBaseline(t *testing.T) {
 	}
 }
 
-// TestRunSelfBaseline runs the tool twice back to back on a small mesh
-// and diffs the second run against the first with a generous tolerance:
-// the end-to-end -baseline plumbing must not flag identical workloads.
+// TestRunSelfBaseline pins the -baseline verdicts on a real report
+// diffed against synthetic baselines derived from it, so no verdict
+// depends on how two wall-clock runs happen to compare (the real
+// two-run self-diff is make bench-smoke's job). One run measures every
+// section with -baseline naming a baseline of other mesh dimensions:
+// the report is still written, and the diff is refused. The written
+// report then passes against a baseline every row of which sits within
+// tolerance above it, and fails, naming the row, against one where a
+// single row sits beyond tolerance.
 func TestRunSelfBaseline(t *testing.T) {
 	dir := t.TempDir()
+	writeBase := func(name string, rep Report) string {
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	mismatched := writeBase("mismatched.json", diffReport(30, 30, map[string]float64{"route/batch": 1}))
+
 	first := filepath.Join(dir, "first.json")
 	var buf bytes.Buffer
-	args := []string{"-w", "24", "-h", "24", "-k", "8", "-dests", "16", "-benchtime", "2ms"}
-	if err := run(append(args, "-out", first), &buf); err != nil {
-		t.Fatalf("first run: %v", err)
+	args := []string{"-w", "24", "-h", "24", "-k", "8", "-dests", "16", "-benchtime", "2ms",
+		"-out", first, "-baseline", mismatched}
+	err := run(args, &buf)
+	if err == nil || !strings.Contains(err.Error(), "not comparable") {
+		t.Fatalf("run against a 30x30 baseline: err = %v, want a refusal\n%s", err, buf.String())
 	}
-	buf.Reset()
-	err := run(append(args, "-out", filepath.Join(dir, "second.json"),
-		"-baseline", first, "-tolerance", "95"), &buf)
+	data, err := os.ReadFile(first)
 	if err != nil {
-		t.Fatalf("self-diff flagged a regression: %v\n%s", err, buf.String())
+		t.Fatalf("report not written before the diff: %v", err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte("baseline diff")) {
-		t.Fatalf("diff output missing:\n%s", buf.String())
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Scenarios) != 1 || len(rep.Journal) == 0 || len(rep.Reliability) == 0 {
+		t.Fatalf("report lacks a section: %d scenarios, %d journal rows, %d reliability rows",
+			len(rep.Scenarios), len(rep.Journal), len(rep.Reliability))
+	}
+
+	// scaled copies rep with every row's q/s multiplied by f, and the
+	// named row's (if any) by g instead.
+	scaled := func(f float64, row string, g float64) Report {
+		base := rep
+		scale := func(rs []Result) []Result {
+			out := append([]Result(nil), rs...)
+			for i := range out {
+				if out[i].Name == row {
+					out[i].QueriesPerSec *= g
+				} else {
+					out[i].QueriesPerSec *= f
+				}
+			}
+			return out
+		}
+		base.Scenarios = []Scenario{{Faults: rep.Scenarios[0].Faults, Results: scale(rep.Scenarios[0].Results)}}
+		base.Journal = scale(rep.Journal)
+		base.Reliability = scale(rep.Reliability)
+		return base
+	}
+
+	// Every row 5% below its baseline: inside a 10% tolerance.
+	buf.Reset()
+	within := writeBase("within.json", scaled(1/0.95, "", 0))
+	if err := diffBaseline(&buf, rep, within, 10); err != nil {
+		t.Fatalf("rows 5%% down failed a 10%% tolerance: %v\n%s", err, buf.String())
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("no regressions beyond 10%")) {
+		t.Fatalf("diff output missing the verdict:\n%s", buf.String())
+	}
+
+	// One row 50% below its baseline, the rest unchanged.
+	buf.Reset()
+	beyond := writeBase("beyond.json", scaled(1, "route_kernel/route_into", 2))
+	err = diffBaseline(&buf, rep, beyond, 10)
+	if err == nil {
+		t.Fatalf("a row 50%% down passed a 10%% tolerance:\n%s", buf.String())
+	}
+	if !strings.Contains(err.Error(), "1 measurement(s)") || !strings.Contains(err.Error(), "route_kernel/route_into") {
+		t.Fatalf("regression error does not name exactly the one row: %v", err)
 	}
 }

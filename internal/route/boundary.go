@@ -63,12 +63,9 @@ type cellRef struct {
 // over-constrain the packet.
 //
 // Storage is a CSR-style flat layout: node i's refs occupy positions
-// off[i]..off[i+1] of the packed parallel arrays, so the per-hop
-// lookup in view.step is two adjacent int32 loads (almost always
-// finding an empty span) instead of a hash probe, and iterating a
-// node's refs walks contiguous memory. The fire-condition rectangle
-// bounds are denormalized per ref into minX/minY/maxX/maxY so firing
-// never chases the run table.
+// off[i]..off[i+1] of the packed parallel arrays, so the lookup in
+// view.step is two adjacent int32 loads instead of a hash probe, and
+// iterating a node's refs walks contiguous memory.
 type boundarySet struct {
 	m     mesh.Mesh
 	hRuns []mesh.Rect // maximal horizontal runs (height 1)
@@ -76,11 +73,14 @@ type boundarySet struct {
 
 	off []int32 // len m.Size()+1; node i's refs at [off[i], off[i+1])
 
+	// sig[i] is node i's fire signature (sigSpan), tested by view.step
+	// before it touches the refs: no bit, no firing line.
+	sig []uint64
+
 	// Parallel per-ref arrays, indexed by the off spans.
-	run                    []int32 // obstacle run (into hRuns or vRuns by kind)
-	kind                   []LineKind
-	succDir                []uint8 // succNone, succEast or succNorth
-	minX, minY, maxX, maxY []int32 // the run's rectangle, inlined
+	run     []int32 // obstacle run (into hRuns or vRuns by kind)
+	kind    []LineKind
+	succDir []uint8 // succNone, succEast or succNorth
 }
 
 // buildBoundaries derives the runs of the blocked grid and lays out the
@@ -101,8 +101,8 @@ func buildBoundaries(m mesh.Mesh, blocked []bool) *boundarySet {
 }
 
 // pack lays the collected refs out in CSR form: a stable counting sort
-// by node, then the per-ref fields split into parallel arrays with the
-// owning run's rectangle bounds inlined.
+// by node, then the per-ref fields split into parallel arrays, with
+// each ref's run span ORed into its node's fire signature.
 func (bs *boundarySet) pack(refs []cellRef) {
 	n := bs.m.Size()
 	bs.off = make([]int32, n+1)
@@ -113,13 +113,10 @@ func (bs *boundarySet) pack(refs []cellRef) {
 		bs.off[i+1] += bs.off[i]
 	}
 	k := len(refs)
+	bs.sig = make([]uint64, n)
 	bs.run = make([]int32, k)
 	bs.kind = make([]LineKind, k)
 	bs.succDir = make([]uint8, k)
-	bs.minX = make([]int32, k)
-	bs.minY = make([]int32, k)
-	bs.maxX = make([]int32, k)
-	bs.maxY = make([]int32, k)
 	next := make([]int32, n)
 	copy(next, bs.off[:n])
 	w := int32(bs.m.Width)
@@ -141,11 +138,42 @@ func (bs *boundarySet) pack(refs []cellRef) {
 			panic("route: boundary successor is not an east/north neighbor")
 		}
 		rect := bs.rectOf(r.kind, r.run)
-		bs.minX[j] = int32(rect.MinX)
-		bs.minY[j] = int32(rect.MinY)
-		bs.maxX[j] = int32(rect.MaxX)
-		bs.maxY[j] = int32(rect.MaxY)
+		if r.kind == LineL1 {
+			y := int(r.cell / w)
+			bs.sig[r.cell] |= sigSpan(rect.MinY-y, rect.MaxY-y)
+		} else {
+			x := int(r.cell % w)
+			bs.sig[r.cell] |= sigSpan(rect.MinX-x, rect.MaxX-x) << 32
+		}
 	}
+}
+
+// sigSpan returns the signature bits of the offsets lo..hi, 1 <= lo <= hi.
+//
+// A ref fires only when the destination's offset from the node along
+// one axis lies in the run's span: for an L1 ref the row offset
+// d.Y-u.Y must lie in [MinY-u.Y, MaxY-u.Y], for an L3 ref the column
+// offset d.X-u.X in [MinX-u.X, MaxX-u.X]. L1 lines lie strictly south
+// of their run and L3 lines strictly west, so both spans start at an
+// offset of at least 1. A signature half maps offset o to bit
+// min(o,32)-1: every offset of 32 or more shares the top bit, so the
+// test may pass for a far destination whose ref does not fire (the
+// exact scan then decides), but never fails for one whose ref does.
+func sigSpan(lo, hi int) uint64 {
+	lo, hi = min(lo, 32), min(hi, 32)
+	return (uint64(1)<<hi - 1) &^ (uint64(1)<<(lo-1) - 1)
+}
+
+// sigBit returns the signature bit of offset o, or 0 when o < 1 (no
+// run spans it).
+func sigBit(o int) uint64 {
+	return uint64(1) << (uint(min(o, 32)) - 1)
+}
+
+// mayFire reports whether a line at node i could fire toward the
+// destination dx columns and dy rows away. False is exact.
+func (bs *boundarySet) mayFire(i, dx, dy int) bool {
+	return bs.sig[i]&(sigBit(dy)|sigBit(dx)<<32) != 0
 }
 
 // rectOf resolves a (kind, run) pair to its obstacle run rectangle.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"extmesh/internal/fault"
 	"extmesh/internal/mesh"
 	"extmesh/internal/wang"
 )
@@ -338,12 +339,15 @@ func samePath(a, b Path) bool {
 // be bit-identical (same success/failure, same node sequence), the
 // append-style variants must agree with their allocating forms under a
 // dirty prefix, and every path either router delivers must be minimal
-// whenever the oracle succeeds.
+// whenever the oracle succeeds. A paper-scale band then repeats the
+// check on 200x200 meshes under the block and both MCC labelings of
+// RandomFaults at k = 100, 200 and 800, where lines run long and the
+// fire signature's clamped offsets are in play.
 func TestKernelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const meshes = 300
 	const pairsPerMesh = 24
-	routesChecked, oraclesChecked := 0, 0
+	routesChecked := 0
 	for mi := 0; mi < meshes; mi++ {
 		w := 4 + rng.Intn(37) // up to 40: crosses the 64-column word only rarely, so mix in wide meshes below
 		h := 4 + rng.Intn(37)
@@ -352,66 +356,97 @@ func TestKernelParity(t *testing.T) {
 		}
 		m := mesh.Mesh{Width: w, Height: h}
 		blocked := randomGrid(m, rng.Float64()*0.15, rng)
+		routesChecked += checkParity(t, m, blocked, rng, pairsPerMesh)
+	}
+	if routesChecked < meshes*pairsPerMesh/2 {
+		t.Fatalf("too few pairs exercised: %d", routesChecked)
+	}
 
-		newRouter := NewRouter(m, blocked)
-		oldRouter := newRefRouter(m, blocked)
-		prefix := []mesh.Coord{{X: -7, Y: -9}} // dirty dst prefix for the Into forms
-
-		for pi := 0; pi < pairsPerMesh; pi++ {
-			s := mesh.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
-			d := mesh.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
-			if blocked[m.Index(s)] || blocked[m.Index(d)] {
-				continue
-			}
-
-			wantP, wantErr := oldRouter.route(s, d)
-			gotP, gotErr := newRouter.Route(s, d)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("mesh %dx%d route %v->%v: ref err=%v, new err=%v", w, h, s, d, wantErr, gotErr)
-			}
-			if wantErr == nil && !samePath(wantP, gotP) {
-				t.Fatalf("mesh %dx%d route %v->%v: ref path %v, new path %v", w, h, s, d, wantP, gotP)
-			}
-			out, intoErr := newRouter.RouteInto(prefix, s, d)
-			if (intoErr == nil) != (gotErr == nil) {
-				t.Fatalf("RouteInto %v->%v: err=%v, Route err=%v", s, d, intoErr, gotErr)
-			}
-			if len(out) < 1 || out[0] != prefix[0] {
-				t.Fatalf("RouteInto %v->%v clobbered the dst prefix: %v", s, d, out)
-			}
-			if intoErr == nil && !samePath(Path(out[1:]), gotP) {
-				t.Fatalf("RouteInto %v->%v: %v, want %v", s, d, out[1:], gotP)
-			}
-			if intoErr != nil && len(out) != len(prefix) {
-				t.Fatalf("RouteInto %v->%v error left dst at length %d, want %d", s, d, len(out), len(prefix))
-			}
-			routesChecked++
-
-			reach := wang.ReachFrom(m, d, blocked)
-			wantOP, wantOErr := refOracleFrom(m, blocked, reach, s, d)
-			gotOP, gotOErr := OracleFrom(m, blocked, reach, s, d)
-			if (wantOErr == nil) != (gotOErr == nil) {
-				t.Fatalf("mesh %dx%d oracle %v->%v: ref err=%v, new err=%v", w, h, s, d, wantOErr, gotOErr)
-			}
-			if wantOErr == nil && !samePath(wantOP, gotOP) {
-				t.Fatalf("mesh %dx%d oracle %v->%v: ref path %v, new path %v", w, h, s, d, wantOP, gotOP)
-			}
-			oraclesChecked++
-
-			// Minimality: whenever the oracle delivers, a delivered Wu
-			// route must be minimal too (it always is when it succeeds),
-			// and the oracle's own path must be minimal by construction.
-			if gotOErr == nil {
-				if !gotOP.Minimal() {
-					t.Fatalf("oracle path %v->%v not minimal: %v", s, d, gotOP)
-				}
-				if gotErr == nil && !gotP.Minimal() {
-					t.Fatalf("delivered Wu path %v->%v not minimal: %v", s, d, gotP)
-				}
+	const paperPairs = 400
+	m := mesh.Mesh{Width: 200, Height: 200}
+	for _, k := range []int{100, 200, 800} {
+		faults, err := fault.RandomFaults(m, k, rng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := fault.NewScenario(m, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, blocked := range [][]bool{
+			fault.BuildBlocks(sc).BlockedGrid(),
+			fault.BuildMCC(sc, fault.TypeOne).BlockedGrid(),
+			fault.BuildMCC(sc, fault.TypeTwo).BlockedGrid(),
+		} {
+			if n := checkParity(t, m, blocked, rng, paperPairs); n < paperPairs/2 {
+				t.Fatalf("k=%d: too few pairs exercised: %d", k, n)
 			}
 		}
 	}
-	if routesChecked < meshes*pairsPerMesh/2 || oraclesChecked < meshes*pairsPerMesh/2 {
-		t.Fatalf("too few pairs exercised: %d routes, %d oracles", routesChecked, oraclesChecked)
+}
+
+// checkParity draws pairs random (source, destination) pairs on one
+// blocked grid, skipping blocked endpoints, and holds the refit kernel
+// to the golden reference on each. It returns how many pairs it
+// checked.
+func checkParity(t *testing.T, m mesh.Mesh, blocked []bool, rng *rand.Rand, pairs int) int {
+	t.Helper()
+	w, h := m.Width, m.Height
+	newRouter := NewRouter(m, blocked)
+	oldRouter := newRefRouter(m, blocked)
+	prefix := []mesh.Coord{{X: -7, Y: -9}} // dirty dst prefix for the Into forms
+	checked := 0
+	for pi := 0; pi < pairs; pi++ {
+		s := mesh.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
+		d := mesh.Coord{X: rng.Intn(w), Y: rng.Intn(h)}
+		if blocked[m.Index(s)] || blocked[m.Index(d)] {
+			continue
+		}
+
+		wantP, wantErr := oldRouter.route(s, d)
+		gotP, gotErr := newRouter.Route(s, d)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("mesh %dx%d route %v->%v: ref err=%v, new err=%v", w, h, s, d, wantErr, gotErr)
+		}
+		if wantErr == nil && !samePath(wantP, gotP) {
+			t.Fatalf("mesh %dx%d route %v->%v: ref path %v, new path %v", w, h, s, d, wantP, gotP)
+		}
+		out, intoErr := newRouter.RouteInto(prefix, s, d)
+		if (intoErr == nil) != (gotErr == nil) {
+			t.Fatalf("RouteInto %v->%v: err=%v, Route err=%v", s, d, intoErr, gotErr)
+		}
+		if len(out) < 1 || out[0] != prefix[0] {
+			t.Fatalf("RouteInto %v->%v clobbered the dst prefix: %v", s, d, out)
+		}
+		if intoErr == nil && !samePath(Path(out[1:]), gotP) {
+			t.Fatalf("RouteInto %v->%v: %v, want %v", s, d, out[1:], gotP)
+		}
+		if intoErr != nil && len(out) != len(prefix) {
+			t.Fatalf("RouteInto %v->%v error left dst at length %d, want %d", s, d, len(out), len(prefix))
+		}
+
+		reach := wang.ReachFrom(m, d, blocked)
+		wantOP, wantOErr := refOracleFrom(m, blocked, reach, s, d)
+		gotOP, gotOErr := OracleFrom(m, blocked, reach, s, d)
+		if (wantOErr == nil) != (gotOErr == nil) {
+			t.Fatalf("mesh %dx%d oracle %v->%v: ref err=%v, new err=%v", w, h, s, d, wantOErr, gotOErr)
+		}
+		if wantOErr == nil && !samePath(wantOP, gotOP) {
+			t.Fatalf("mesh %dx%d oracle %v->%v: ref path %v, new path %v", w, h, s, d, wantOP, gotOP)
+		}
+
+		// Minimality: whenever the oracle delivers, a delivered Wu
+		// route must be minimal too (it always is when it succeeds),
+		// and the oracle's own path must be minimal by construction.
+		if gotOErr == nil {
+			if !gotOP.Minimal() {
+				t.Fatalf("oracle path %v->%v not minimal: %v", s, d, gotOP)
+			}
+			if gotErr == nil && !gotP.Minimal() {
+				t.Fatalf("delivered Wu path %v->%v not minimal: %v", s, d, gotP)
+			}
+		}
+		checked++
 	}
+	return checked
 }

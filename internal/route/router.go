@@ -249,70 +249,28 @@ func growCoords(buf []mesh.Coord, need int) []mesh.Coord {
 // north shadows). Among hops satisfying both, the adaptive preference
 // (larger remaining offset first) decides.
 //
-// The boundary info is read straight off the CSR arrays: two adjacent
-// offset loads find the node's (almost always empty) ref span, and the
-// fire tests touch only the denormalized bound arrays.
+// The fire signature settles most hops without reading the refs: when
+// the destination's offset bits are clear in sig[u], no line at u can
+// fire and the hop is the plain adaptive preference over the two
+// blocked probes. Only the rest scan u's CSR span (firedMoves).
 func (v *view) step(u, d mesh.Coord) (mesh.Coord, error) {
-	bs := v.bounds
 	w := v.m.Width
 	ui := u.Y*w + u.X
-	var (
-		// Nodes rarely sit on more than a couple of lines at once; the
-		// stack-backed buffer keeps the per-hop decision allocation-free.
-		firedBuf  [4]int32
-		fired     = firedBuf[:0]
-		succEast  bool
-		succNorth bool
-	)
-	for j, end := bs.off[ui], bs.off[ui+1]; j < end; j++ {
-		var fire bool
-		if bs.kind[j] == LineL1 {
-			fire = int32(d.X) > bs.maxX[j] && int32(d.Y) >= bs.minY[j] && int32(d.Y) <= bs.maxY[j]
-		} else {
-			fire = int32(d.Y) > bs.maxY[j] && int32(d.X) >= bs.minX[j] && int32(d.X) <= bs.maxX[j]
-		}
-		if !fire {
-			continue
-		}
-		fired = append(fired, j)
-		switch bs.succDir[j] {
-		case succEastDir:
-			succEast = true
-		case succNorthDir:
-			succNorth = true
-		}
-	}
-
-	east := mesh.Coord{X: u.X + 1, Y: u.Y}
-	north := mesh.Coord{X: u.X, Y: u.Y + 1}
-	usable := func(n mesh.Coord) bool {
-		if n.X > d.X || n.Y > d.Y || !v.m.Contains(n) || v.blocked[n.Y*w+n.X] {
-			return false
-		}
-		for _, j := range fired {
-			if bs.kind[j] == LineL1 {
-				if int32(n.Y) >= bs.minY[j] && int32(n.X) <= bs.maxX[j] {
-					return false
-				}
-			} else {
-				if int32(n.X) >= bs.minX[j] && int32(n.Y) <= bs.maxY[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	okEast := usable(east)
-	okNorth := usable(north)
-	if len(fired) > 0 {
-		// Constrained: only fired-line successors are candidates.
-		okEast = okEast && succEast
-		okNorth = okNorth && succNorth
+	dx, dy := d.X-u.X, d.Y-u.Y
+	var okEast, okNorth bool
+	if !v.bounds.mayFire(ui, dx, dy) {
+		// d is weakly northeast of u, so a positive offset keeps the
+		// probed neighbor inside the mesh and at most d's column/row.
+		okEast = dx > 0 && !v.blocked[ui+1]
+		okNorth = dy > 0 && !v.blocked[ui+w]
+	} else {
+		okEast, okNorth = v.firedMoves(u, d)
 	}
 
 	// Adaptive preference: larger remaining offset first.
-	if d.Y-u.Y > d.X-u.X {
+	east := mesh.Coord{X: u.X + 1, Y: u.Y}
+	north := mesh.Coord{X: u.X, Y: u.Y + 1}
+	if dy > dx {
 		if okNorth {
 			return north, nil
 		}
@@ -328,6 +286,69 @@ func (v *view) step(u, d mesh.Coord) (mesh.Coord, error) {
 		}
 	}
 	return mesh.Coord{}, &StuckError{At: u, To: d}
+}
+
+// firedMoves scans u's boundary refs for lines that fire toward d and
+// reports whether the east and north hops are allowed under them.
+func (v *view) firedMoves(u, d mesh.Coord) (okEast, okNorth bool) {
+	bs := v.bounds
+	w := v.m.Width
+	ui := u.Y*w + u.X
+	var (
+		// Nodes rarely sit on more than a couple of lines at once; the
+		// stack-backed buffer keeps the per-hop decision allocation-free.
+		firedBuf  [4]int32
+		fired     = firedBuf[:0]
+		succEast  bool
+		succNorth bool
+	)
+	for j, end := bs.off[ui], bs.off[ui+1]; j < end; j++ {
+		r := bs.rectOf(bs.kind[j], bs.run[j])
+		var fire bool
+		if bs.kind[j] == LineL1 {
+			fire = d.X > r.MaxX && d.Y >= r.MinY && d.Y <= r.MaxY
+		} else {
+			fire = d.Y > r.MaxY && d.X >= r.MinX && d.X <= r.MaxX
+		}
+		if !fire {
+			continue
+		}
+		fired = append(fired, j)
+		switch bs.succDir[j] {
+		case succEastDir:
+			succEast = true
+		case succNorthDir:
+			succNorth = true
+		}
+	}
+
+	usable := func(n mesh.Coord) bool {
+		if n.X > d.X || n.Y > d.Y || !v.m.Contains(n) || v.blocked[n.Y*w+n.X] {
+			return false
+		}
+		for _, j := range fired {
+			r := bs.rectOf(bs.kind[j], bs.run[j])
+			if bs.kind[j] == LineL1 {
+				if n.Y >= r.MinY && n.X <= r.MaxX {
+					return false
+				}
+			} else {
+				if n.X >= r.MinX && n.Y <= r.MaxY {
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	okEast = usable(mesh.Coord{X: u.X + 1, Y: u.Y})
+	okNorth = usable(mesh.Coord{X: u.X, Y: u.Y + 1})
+	if len(fired) > 0 {
+		// Constrained: only fired-line successors are candidates.
+		okEast = okEast && succEast
+		okNorth = okNorth && succNorth
+	}
+	return okEast, okNorth
 }
 
 // oracleScratch pools the full-mesh reachability grid a one-shot
