@@ -4,7 +4,7 @@ GO ?= go
 # detector must cover.
 RACE_PKGS = . ./internal/wang ./internal/traffic ./internal/safety ./internal/sim ./internal/wormhole ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved ./cmd/meshstress
 
-.PHONY: all build test vet fmt race bench bench-smoke bench-diff perf-smoke smoke chaos rel-smoke verify clean
+.PHONY: all build test vet fmt race bench bench-smoke bench-diff perf-smoke smoke chaos rel-smoke loc verify clean
 
 all: build
 
@@ -110,6 +110,18 @@ chaos: build
 # pins as agreeing.
 rel-smoke:
 	$(GO) run ./cmd/meshrel -w 32 -h 32 -k 8 -trials 512 -pairs 4 -seed 2 -check
+
+# loc prints the non-test Go line count of every package in the module
+# (wc -l over its non-test .go files, comments and blank lines
+# included) and their total, then perfbench/ — a module of its own —
+# on a separate line. Simplicity changes are judged by the difference
+# of these numbers before and after.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] && printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
+	@printf '%7d perfbench (separate module)\n' "$$(cat $$(ls perfbench/*.go | grep -v '_test\.go$$') | wc -l)"
 
 # verify is the gate for every change: formatting, static checks, full
 # build, the whole test suite, the race detector on the concurrent

@@ -54,6 +54,7 @@ import (
 	"extmesh/internal/route"
 	"extmesh/internal/serve"
 	"extmesh/internal/wang"
+	"extmesh/internal/wire"
 	"extmesh/meshclient"
 )
 
@@ -675,36 +676,23 @@ func measureServe(out io.Writer, w, h int, faults []extmesh.Coord, src extmesh.C
 		resp.Body.Close()
 	}
 
-	type pairJSON struct {
-		Src extmesh.Coord `json:"src"`
-		Dst extmesh.Coord `json:"dst"`
-	}
 	singleBodies := make([][]byte, len(destList))
 	for i, dst := range destList {
-		b, err := json.Marshal(struct {
-			pairJSON
-			OmitPath bool `json:"omit_path"`
-		}{pairJSON{src, dst}, true})
+		b, err := json.Marshal(wire.Query{Src: src, Dst: dst, OmitPath: true})
 		if err != nil {
 			return nil, err
 		}
 		singleBodies[i] = b
 	}
-	batchPairs := make([]pairJSON, len(pairs))
+	batchPairs := make([]wire.Pair, len(pairs))
 	for i, p := range pairs {
-		batchPairs[i] = pairJSON{p.Src, p.Dst}
+		batchPairs[i] = wire.Pair(p)
 	}
-	routeBatchBody, err := json.Marshal(struct {
-		Pairs     []pairJSON `json:"pairs"`
-		OmitPaths bool       `json:"omit_paths"`
-	}{batchPairs, true})
+	routeBatchBody, err := json.Marshal(wire.RouteBatchRequest{Pairs: batchPairs, OmitPaths: true})
 	if err != nil {
 		return nil, err
 	}
-	fanBody, err := json.Marshal(struct {
-		Src   extmesh.Coord   `json:"src"`
-		Dests []extmesh.Coord `json:"dests"`
-	}{src, destList})
+	fanBody, err := json.Marshal(wire.FanRequest{Src: src, Dests: destList})
 	if err != nil {
 		return nil, err
 	}

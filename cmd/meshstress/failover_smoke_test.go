@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,7 +35,50 @@ func freePort(t *testing.T) string {
 type smokeNode struct {
 	cmd     *exec.Cmd
 	httpURL string
-	log     *bytes.Buffer
+	log     *lockedBuffer
+}
+
+// lockedBuffer collects a process's output; the test may read it while
+// the exec package's copier is still writing.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// waitForFollower polls the primary's replication status until a
+// follower is attached: before that, a failover-managed primary
+// refuses to confirm any write.
+func waitForFollower(t *testing.T, primaryURL string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var st struct {
+			Followers []json.RawMessage `json:"followers"`
+		}
+		if resp, err := http.Get(primaryURL + "/replication"); err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err == nil && len(st.Followers) > 0 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no follower attached to the primary within 30s")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 // startClusterNode launches a meshserved process as a failover cluster
@@ -60,7 +106,7 @@ func startClusterNode(t *testing.T, bin, dataDir string, httpAddr string, repAdd
 	if idx != 0 {
 		args = append(args, "-replicate-from", repAddrs[0])
 	}
-	n := &smokeNode{httpURL: "http://" + httpAddr, log: &bytes.Buffer{}}
+	n := &smokeNode{httpURL: "http://" + httpAddr, log: &lockedBuffer{}}
 	n.cmd = exec.Command(bin, args...)
 	n.cmd.Stdout = n.log
 	n.cmd.Stderr = n.log
@@ -106,8 +152,11 @@ func TestFailoverSmoke(t *testing.T) {
 		nodes[i] = startClusterNode(t, served, t.TempDir(), httpAddrs[i], repAddrs, i)
 	}
 
-	// The cluster accepts a write only once a follower confirms it, so a
-	// successful mesh creation doubles as the "cluster formed" gate.
+	// The cluster accepts a write only once a follower confirms it, and
+	// refuses the create outright (non-idempotent, so not retried) while
+	// no follower is attached yet; wait for one, after which a successful
+	// mesh creation is the "cluster formed" gate.
+	waitForFollower(t, nodes[0].httpURL)
 	cc, err := meshclient.NewCluster(meshclient.ClusterOptions{
 		Primary:  nodes[0].httpURL,
 		Replicas: []string{nodes[1].httpURL, nodes[2].httpURL},

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"extmesh"
 	"extmesh/internal/metrics"
 	"extmesh/internal/wire"
 )
@@ -17,7 +16,7 @@ import (
 // binaryServer serves the wire protocol (internal/wire) over persistent
 // TCP connections: one goroutine per connection reads length-prefixed
 // request frames, answers them strictly in order through the same
-// registry, snapshots and admission gate as the JSON endpoints, and
+// query core and admission gate as the JSON endpoints, and
 // batches response writes — the flush is deferred while more pipelined
 // requests are already buffered, so a deep pipeline pays one syscall
 // per burst instead of one per query.
@@ -179,9 +178,10 @@ func (b *binaryServer) serveConn(conn net.Conn) {
 	}
 }
 
-// handleFrame answers one request frame, appending the response body
-// onto buf. Every outcome — including malformed requests — produces a
-// response frame, so a pipelined client never desynchronizes.
+// handleFrame is the binary codec: it decodes one request frame, runs
+// the query core, and appends the response body onto buf. Every
+// outcome — including malformed requests — produces a response frame,
+// so a pipelined client never desynchronizes.
 func (b *binaryServer) handleFrame(buf, body []byte) []byte {
 	req, err := wire.DecodeRequest(body)
 	if err != nil {
@@ -198,128 +198,52 @@ func (b *binaryServer) handleFrame(buf, body []byte) []byte {
 	}
 	defer b.s.admit.release()
 
-	d := b.s.meshes.Get(req.Mesh)
-	if d == nil {
-		b.errors.Inc()
-		return wire.AppendError(buf, req.ID, wire.StatusNotFound, fmt.Sprintf("mesh %q not registered", req.Mesh))
-	}
-	n, err := d.Snapshot()
-	if err != nil {
-		b.errors.Inc()
-		return wire.AppendError(buf, req.ID, wire.StatusInternal, fmt.Sprintf("snapshot failed: %v", err))
-	}
-	fm := extmesh.Blocks
+	q := query{op: req.Op, mesh: req.Mesh, omit: req.OmitPaths(),
+		src: req.Src, dst: req.Dst, flat: req.Pairs, dests: req.Dests}
 	if req.MCC() {
-		fm = extmesh.MCC
+		q.model = "mcc"
 	}
-	sc := scratchPool.Get().(*reqScratch)
-	defer scratchPool.Put(sc)
+	b.s.answer(&q, func(status uint8, msg string, sc *reqScratch) {
+		if status != wire.StatusOK {
+			b.errors.Inc()
+			buf = wire.AppendError(buf, req.ID, status, msg)
+			return
+		}
+		buf = appendAnswer(wire.AppendOKHeader(buf, req.ID), &q, sc)
+	})
+	return buf
+}
 
-	switch req.Op {
+// appendAnswer encodes a successful query's result. Route batches are
+// encoded straight from the arena's results.
+func appendAnswer(buf []byte, q *query, sc *reqScratch) []byte {
+	switch q.op {
 	case wire.OpRoute:
-		p, err := n.RouteInto(sc.path[:0], req.Src, req.Dst, fm)
-		sc.path = p
-		if err != nil {
-			b.errors.Inc()
-			return wire.AppendError(buf, req.ID, wire.StatusUnprocessable, err.Error())
+		return wire.AppendRoute(buf, sc.path, q.omit)
+	case wire.OpHasMinimalPath, wire.OpSafe:
+		if sc.ok {
+			return append(buf, 1)
 		}
-		buf = wire.AppendOKHeader(buf, req.ID)
-		buf = wire.AppendU32(buf, uint32(int32(len(p)-1)))
-		if req.OmitPaths() {
-			return wire.AppendU32(buf, 0)
-		}
-		return wire.AppendPath(buf, p)
-
-	case wire.OpHasMinimalPath:
-		buf = wire.AppendOKHeader(buf, req.ID)
-		return append(buf, boolByte(n.HasMinimalPath(req.Src, req.Dst)))
-
-	case wire.OpSafe:
-		buf = wire.AppendOKHeader(buf, req.ID)
-		return append(buf, boolByte(n.Safe(req.Src, req.Dst, fm)))
-
+		return append(buf, 0)
 	case wire.OpEnsure:
-		a := n.Ensure(req.Src, req.Dst, fm, extmesh.DefaultStrategy())
-		buf = wire.AppendOKHeader(buf, req.ID)
-		return wire.AppendEnsure(buf, uint8(a.Verdict), a.Via())
-
+		return wire.AppendEnsure(buf, uint8(sc.assurance.Verdict), sc.assurance.Via())
 	case wire.OpRouteBatch:
-		pairs := len(req.Pairs) / 2
-		if msg, ok := checkBatch(pairs, "pairs"); !ok {
-			b.errors.Inc()
-			return wire.AppendError(buf, req.ID, wire.StatusBadRequest, msg)
-		}
-		ps := sc.pairs[:0]
-		for i := 0; i < pairs; i++ {
-			ps = append(ps, extmesh.Pair{Src: req.Pairs[2*i], Dst: req.Pairs[2*i+1]})
-		}
-		sc.pairs = ps
-		results := n.RouteManyInto(&sc.arena, ps, fm)
-		buf = wire.AppendOKHeader(buf, req.ID)
-		buf = wire.AppendU16(buf, uint16(len(results)))
-		for _, res := range results {
+		buf = wire.AppendU16(buf, uint16(len(sc.routes)))
+		for _, res := range sc.routes {
 			if res.Err != nil {
-				buf = append(buf, 0)
-				msg := res.Err.Error()
-				if len(msg) > 0xffff {
-					msg = msg[:0xffff]
-				}
-				buf = wire.AppendU16(buf, uint16(len(msg)))
-				buf = append(buf, msg...)
-				continue
-			}
-			buf = append(buf, 1)
-			buf = wire.AppendU32(buf, uint32(int32(len(res.Path)-1)))
-			if req.OmitPaths() {
-				buf = wire.AppendU32(buf, 0)
+				buf = wire.AppendString(append(buf, 0), res.Err.Error())
 			} else {
-				buf = wire.AppendPath(buf, res.Path)
+				buf = wire.AppendRoute(append(buf, 1), res.Path, q.omit)
 			}
 		}
 		return buf
-
 	case wire.OpHasMinimalPathBatch:
-		if msg, ok := checkBatch(len(req.Dests), "destinations"); !ok {
-			b.errors.Inc()
-			return wire.AppendError(buf, req.ID, wire.StatusBadRequest, msg)
-		}
-		buf = wire.AppendOKHeader(buf, req.ID)
-		sc.bools = n.HasMinimalPathAllInto(sc.bools, req.Src, req.Dests)
 		return wire.AppendBools(buf, sc.bools)
-
-	case wire.OpEnsureBatch:
-		if msg, ok := checkBatch(len(req.Dests), "destinations"); !ok {
-			b.errors.Inc()
-			return wire.AppendError(buf, req.ID, wire.StatusBadRequest, msg)
-		}
-		assurances := n.EnsureAll(req.Src, req.Dests, fm, extmesh.DefaultStrategy())
-		buf = wire.AppendOKHeader(buf, req.ID)
-		buf = wire.AppendU16(buf, uint16(len(assurances)))
-		for i := range assurances {
-			buf = wire.AppendEnsure(buf, uint8(assurances[i].Verdict), assurances[i].Via())
+	default: // wire.OpEnsureBatch; the core answers no other op
+		buf = wire.AppendU16(buf, uint16(len(sc.assurances)))
+		for i := range sc.assurances {
+			buf = wire.AppendEnsure(buf, uint8(sc.assurances[i].Verdict), sc.assurances[i].Via())
 		}
 		return buf
 	}
-	// DecodeRequest already rejected unknown ops; defensive fallthrough.
-	b.errors.Inc()
-	return wire.AppendError(buf, req.ID, wire.StatusBadRequest, fmt.Sprintf("unknown op %d", req.Op))
-}
-
-// checkBatch enforces the shared batch bounds with the same messages
-// the JSON endpoints produce.
-func checkBatch(n int, noun string) (string, bool) {
-	if n == 0 {
-		return "empty batch", false
-	}
-	if n > MaxBatch {
-		return fmt.Sprintf("batch of %d %s exceeds the %d limit", n, noun, MaxBatch), false
-	}
-	return "", true
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
 }

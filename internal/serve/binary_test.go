@@ -81,8 +81,8 @@ func TestBinaryParitySingle(t *testing.T) {
 
 			// Route: identical paths or identical failure status.
 			binRoute, binErr := bc.Route(ctx, "m", q)
-			var jsonRoute routeResponse
-			jsonCode := post(t, ts.URL+"/v1/mesh/m/route", queryRequest{Src: src, Dst: dst, Model: model}, &jsonRoute)
+			var jsonRoute wire.RouteResult
+			jsonCode := post(t, ts.URL+"/v1/mesh/m/route", wire.Query{Src: src, Dst: dst, Model: model}, &jsonRoute)
 			libPath, libErr := direct.Route(src, dst, fm)
 			if (binErr != nil) != (libErr != nil) || (jsonCode != http.StatusOK) != (libErr != nil) {
 				t.Fatalf("%s pair %d: route errors diverge: bin=%v json=%d lib=%v", model, i, binErr, jsonCode, libErr)
@@ -109,7 +109,7 @@ func TestBinaryParitySingle(t *testing.T) {
 			var jsonSafe struct {
 				Safe bool `json:"safe"`
 			}
-			post(t, ts.URL+"/v1/mesh/m/safe", queryRequest{Src: src, Dst: dst, Model: model}, &jsonSafe)
+			post(t, ts.URL+"/v1/mesh/m/safe", wire.Query{Src: src, Dst: dst, Model: model}, &jsonSafe)
 			if libSafe := direct.Safe(src, dst, fm); binSafe != libSafe || jsonSafe.Safe != libSafe {
 				t.Fatalf("%s pair %d: safe bin=%v json=%v lib=%v", model, i, binSafe, jsonSafe.Safe, libSafe)
 			}
@@ -119,8 +119,8 @@ func TestBinaryParitySingle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s pair %d: binary ensure: %v", model, i, err)
 			}
-			var jsonEnsure assuredResponse
-			post(t, ts.URL+"/v1/mesh/m/ensure", queryRequest{Src: src, Dst: dst, Model: model}, &jsonEnsure)
+			var jsonEnsure wire.Assurance
+			post(t, ts.URL+"/v1/mesh/m/ensure", wire.Query{Src: src, Dst: dst, Model: model}, &jsonEnsure)
 			libAssure := direct.Ensure(src, dst, fm, extmesh.DefaultStrategy())
 			if binEnsure.Verdict != libAssure.Verdict.String() || jsonEnsure.Verdict != libAssure.Verdict.String() {
 				t.Fatalf("%s pair %d: verdict bin=%q json=%q lib=%q", model, i, binEnsure.Verdict, jsonEnsure.Verdict, libAssure.Verdict)
@@ -137,7 +137,7 @@ func TestBinaryParitySingle(t *testing.T) {
 			var jsonHMP struct {
 				Exists bool `json:"exists"`
 			}
-			post(t, ts.URL+"/v1/mesh/m/has-minimal-path", queryRequest{Src: src, Dst: dst}, &jsonHMP)
+			post(t, ts.URL+"/v1/mesh/m/has-minimal-path", wire.Query{Src: src, Dst: dst}, &jsonHMP)
 			if libHMP := direct.HasMinimalPath(src, dst); binHMP != libHMP || jsonHMP.Exists != libHMP {
 				t.Fatalf("pair %d: exists bin=%v json=%v lib=%v", i, binHMP, jsonHMP.Exists, libHMP)
 			}
@@ -185,9 +185,9 @@ func TestBinaryParityBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		var jsonOut struct {
-			Results []routeBatchResult `json:"results"`
+			Results []wire.BatchRouteResult `json:"results"`
 		}
-		post(t, ts.URL+"/v1/mesh/m/route/batch", routeBatchRequest{
+		post(t, ts.URL+"/v1/mesh/m/route/batch", wire.RouteBatchRequest{
 			Pairs: pairsJSON(pairs), Model: "blocks", OmitPaths: omit,
 		}, &jsonOut)
 		libResults := direct.RouteMany(libPairs, extmesh.Blocks)
@@ -224,7 +224,7 @@ func TestBinaryParityBatch(t *testing.T) {
 	var jsonBits struct {
 		Results []bool `json:"results"`
 	}
-	post(t, ts.URL+"/v1/mesh/m/has-minimal-path/batch", fanRequest{Src: src, Dests: dests}, &jsonBits)
+	post(t, ts.URL+"/v1/mesh/m/has-minimal-path/batch", wire.FanRequest{Src: src, Dests: dests}, &jsonBits)
 	libBits := direct.HasMinimalPathAll(src, dests)
 	if !reflect.DeepEqual(binBits, libBits) || !reflect.DeepEqual(jsonBits.Results, libBits) {
 		t.Fatalf("existence batches diverge:\nbin  %v\njson %v\nlib  %v", binBits, jsonBits.Results, libBits)
@@ -236,9 +236,9 @@ func TestBinaryParityBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var jsonEnsures struct {
-		Results []assuredResponse `json:"results"`
+		Results []wire.Assurance `json:"results"`
 	}
-	post(t, ts.URL+"/v1/mesh/m/ensure/batch", fanRequest{Src: src, Dests: dests, Model: "blocks"}, &jsonEnsures)
+	post(t, ts.URL+"/v1/mesh/m/ensure/batch", wire.FanRequest{Src: src, Dests: dests, Model: "blocks"}, &jsonEnsures)
 	libEnsures := direct.EnsureAll(src, dests, extmesh.Blocks, extmesh.DefaultStrategy())
 	for i := range libEnsures {
 		want := libEnsures[i].Verdict.String()
@@ -251,10 +251,10 @@ func TestBinaryParityBatch(t *testing.T) {
 	}
 }
 
-func pairsJSON(pairs []meshclient.Pair) []pairJSON {
-	out := make([]pairJSON, len(pairs))
+func pairsJSON(pairs []meshclient.Pair) []wire.Pair {
+	out := make([]wire.Pair, len(pairs))
 	for i, p := range pairs {
-		out[i] = pairJSON{Src: p.Src, Dst: p.Dst}
+		out[i] = wire.Pair{Src: p.Src, Dst: p.Dst}
 	}
 	return out
 }

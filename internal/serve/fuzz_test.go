@@ -8,6 +8,7 @@ import (
 
 	"extmesh"
 	"extmesh/internal/metrics"
+	"extmesh/internal/wire"
 )
 
 // FuzzServeRequests throws arbitrary bodies at every JSON-decoding
@@ -102,7 +103,7 @@ func FuzzServeRequests(f *testing.F) {
 		// mux's own 404/405 are stdlib plain text).
 		ct := rec.Header().Get("Content-Type")
 		if code >= 400 && rec.Body.Len() > 0 && strings.HasPrefix(ct, "application/json") {
-			var e errorResponse
+			var e wire.ErrorBody
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
 				t.Fatalf("status %d body is not an error JSON: %q", code, rec.Body.Bytes())
 			}

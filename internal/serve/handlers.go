@@ -13,6 +13,7 @@ import (
 	"extmesh/internal/inject"
 	"extmesh/internal/journal"
 	"extmesh/internal/mesh"
+	"extmesh/internal/wire"
 )
 
 // Request-size limits: a decoded batch is capped like the encoding
@@ -21,19 +22,15 @@ import (
 const (
 	// MaxBatch bounds the pairs or destinations of one batch request.
 	MaxBatch = 4096
+	// MaxPivotLevels bounds a client strategy's PivotLevels (the paper
+	// uses 1-3). Each level quadruples the extension-3 pivot count until
+	// the region is split into single cells, and every level past that
+	// re-appends them all, so an unbounded level is unbounded work.
+	MaxPivotLevels = 8
 	// MaxRequestBytes bounds a request body; the largest legitimate
 	// body is an uploaded network blob (dimensions plus fault list).
 	MaxRequestBytes = 8 << 20
 )
-
-// errorResponse is the uniform error body. Code is a stable
-// machine-readable discriminator ("read_only", "fenced", "stale_epoch",
-// "replication_unconfirmed") so cluster clients can branch on the
-// failure class without parsing prose; plain errors omit it.
-type errorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -43,11 +40,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, status, wire.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 func writeErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...), Code: code})
+	writeJSON(w, status, wire.ErrorBody{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
 // writeMutationError maps a persister failure to a status: a journal
@@ -81,18 +78,6 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// parseModel resolves the optional "model" request field.
-func parseModel(s string) (extmesh.FaultModel, error) {
-	switch s {
-	case "", "blocks":
-		return extmesh.Blocks, nil
-	case "mcc":
-		return extmesh.MCC, nil
-	default:
-		return 0, fmt.Errorf("unknown fault model %q (want blocks or mcc)", s)
-	}
-}
-
 // meshFor resolves the {name} path wildcard to a live mesh, writing
 // the 404 itself when absent.
 func (s *Server) meshFor(w http.ResponseWriter, r *http.Request) (string, *extmesh.DynamicNetwork) {
@@ -104,31 +89,8 @@ func (s *Server) meshFor(w http.ResponseWriter, r *http.Request) (string, *extme
 	return name, d
 }
 
-// snapshotFor resolves the mesh and its frozen query snapshot.
-func (s *Server) snapshotFor(w http.ResponseWriter, r *http.Request) (string, *extmesh.DynamicNetwork, *extmesh.Network) {
-	name, d := s.meshFor(w, r)
-	if d == nil {
-		return name, nil, nil
-	}
-	n, err := d.Snapshot()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot failed: %v", err)
-		return name, nil, nil
-	}
-	return name, d, n
-}
-
-// meshInfo is the summary the listing and info endpoints share.
-type meshInfo struct {
-	Name    string `json:"name"`
-	Width   int    `json:"width"`
-	Height  int    `json:"height"`
-	Faults  int    `json:"faults"`
-	Version uint64 `json:"version"`
-}
-
-func infoOf(name string, d *extmesh.DynamicNetwork) meshInfo {
-	return meshInfo{
+func infoOf(name string, d *extmesh.DynamicNetwork) wire.MeshInfo {
+	return wire.MeshInfo{
 		Name:    name,
 		Width:   d.Width(),
 		Height:  d.Height(),
@@ -138,14 +100,6 @@ func infoOf(name string, d *extmesh.DynamicNetwork) meshInfo {
 }
 
 // --- mesh lifecycle -------------------------------------------------
-
-// createRequest is the POST /v1/mesh body: a named mesh specification.
-type createRequest struct {
-	Name   string          `json:"name"`
-	Width  int             `json:"width"`
-	Height int             `json:"height"`
-	Faults []extmesh.Coord `json:"faults"`
-}
 
 // denyWrite is the mutation gate, checked before any state changes.
 // Three refusals, in precedence order:
@@ -215,7 +169,7 @@ func (s *Server) handleCreateMesh(w http.ResponseWriter, r *http.Request) {
 	if s.denyWrite(w, r) {
 		return
 	}
-	var req createRequest
+	var req wire.CreateRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -286,7 +240,7 @@ func (s *Server) handleUploadMesh(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleListMeshes(w http.ResponseWriter, r *http.Request) {
 	names := s.meshes.Names()
-	out := make([]meshInfo, 0, len(names))
+	out := make([]wire.MeshInfo, 0, len(names))
 	for _, name := range names {
 		if d := s.meshes.Get(name); d != nil {
 			out = append(out, infoOf(name, d))
@@ -302,12 +256,12 @@ func (s *Server) handleGetMesh(w http.ResponseWriter, r *http.Request) {
 	if d == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"name":    name,
-		"width":   d.Width(),
-		"height":  d.Height(),
-		"faults":  d.Faults(),
-		"version": d.Version(),
+	writeJSON(w, http.StatusOK, wire.MeshState{
+		Name:    name,
+		Width:   d.Width(),
+		Height:  d.Height(),
+		Faults:  d.Faults(),
+		Version: d.Version(),
 	})
 }
 
@@ -331,321 +285,108 @@ func (s *Server) handleDeleteMesh(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// --- single queries -------------------------------------------------
+// --- queries --------------------------------------------------------
 
-// queryRequest is the shared body of the single-pair query endpoints.
-type queryRequest struct {
-	Src      extmesh.Coord     `json:"src"`
-	Dst      extmesh.Coord     `json:"dst"`
-	Model    string            `json:"model"`     // "blocks" (default) or "mcc"
-	Strategy *extmesh.Strategy `json:"strategy"`  // nil = DefaultStrategy
-	OmitPath bool              `json:"omit_path"` // respond with hop count only
-}
-
-func (q *queryRequest) strategy() extmesh.Strategy {
-	if q.Strategy != nil {
-		return *q.Strategy
-	}
-	return extmesh.DefaultStrategy()
-}
-
-// routeResponse carries one routing outcome. Hops is len(path)-1; the
-// path itself is omitted when the client asked for counts only.
-type routeResponse struct {
-	Hops int          `json:"hops"`
-	Path extmesh.Path `json:"path,omitempty"`
-}
-
-func routeResponseOf(p extmesh.Path, omit bool) routeResponse {
-	resp := routeResponse{Hops: len(p) - 1}
-	if !omit {
-		resp.Path = p
-	}
-	return resp
-}
-
-func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fm, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, _, n := s.snapshotFor(w, r)
-	if n == nil {
-		return
-	}
-	sc := scratchPool.Get().(*reqScratch)
-	defer scratchPool.Put(sc)
-	p, err := n.RouteInto(sc.path[:0], req.Src, req.Dst, fm)
-	sc.path = p
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, routeResponseOf(p, req.OmitPath))
-}
-
-// assuredResponse pairs a route with the condition that guaranteed it.
-type assuredResponse struct {
-	Verdict string          `json:"verdict"`
-	Via     []extmesh.Coord `json:"via,omitempty"`
-	Hops    int             `json:"hops"`
-	Path    extmesh.Path    `json:"path,omitempty"`
-}
-
-func (s *Server) handleRouteAssured(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fm, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, _, n := s.snapshotFor(w, r)
-	if n == nil {
-		return
-	}
-	p, a, err := n.RouteAssured(req.Src, req.Dst, fm, req.strategy())
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	resp := assuredResponse{Verdict: a.Verdict.String(), Via: a.Via(), Hops: len(p) - 1}
-	if !req.OmitPath {
-		resp.Path = p
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleSafe(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fm, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, _, n := s.snapshotFor(w, r)
-	if n == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"safe": n.Safe(req.Src, req.Dst, fm)})
-}
-
-func (s *Server) handleEnsure(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fm, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, _, n := s.snapshotFor(w, r)
-	if n == nil {
-		return
-	}
-	a := n.Ensure(req.Src, req.Dst, fm, req.strategy())
-	writeJSON(w, http.StatusOK, assuredResponse{Verdict: a.Verdict.String(), Via: a.Via(), Hops: -1})
-}
-
-func (s *Server) handleHasMinimalPath(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, _, n := s.snapshotFor(w, r)
-	if n == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"exists": n.HasMinimalPath(req.Src, req.Dst)})
-}
-
-// --- batch queries --------------------------------------------------
-
-// pairJSON is one source/destination pair of a batch request.
-type pairJSON struct {
-	Src extmesh.Coord `json:"src"`
-	Dst extmesh.Coord `json:"dst"`
-}
-
-// routeBatchRequest is the POST .../route/batch body; the batch is
-// served by extmesh.RouteMany's worker pool.
-type routeBatchRequest struct {
-	Pairs     []pairJSON `json:"pairs"`
-	Model     string     `json:"model"`
-	OmitPaths bool       `json:"omit_paths"`
-}
-
-// routeBatchResult is one pair's outcome; exactly one of Error or the
-// route fields is meaningful.
-type routeBatchResult struct {
-	Hops  int          `json:"hops"`
-	Path  extmesh.Path `json:"path,omitempty"`
-	Error string       `json:"error,omitempty"`
-}
-
-func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
-	var req routeBatchRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(req.Pairs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Pairs) > MaxBatch {
-		writeError(w, http.StatusBadRequest, "batch of %d pairs exceeds the %d limit", len(req.Pairs), MaxBatch)
-		return
-	}
-	fm, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, _, n := s.snapshotFor(w, r)
-	if n == nil {
-		return
-	}
-	sc := scratchPool.Get().(*reqScratch)
-	defer scratchPool.Put(sc)
-	pairs := sc.pairs[:0]
-	for _, p := range req.Pairs {
-		pairs = append(pairs, extmesh.Pair{Src: p.Src, Dst: p.Dst})
-	}
-	sc.pairs = pairs
-	results := n.RouteManyInto(&sc.arena, pairs, fm)
-	out := sc.out[:0]
-	for _, res := range results {
-		item := routeBatchResult{Hops: len(res.Path) - 1}
-		switch {
-		case res.Err != nil:
-			item = routeBatchResult{Hops: -1, Error: res.Err.Error()}
-		case !req.OmitPaths:
-			item.Path = res.Path
+// handleQuery is the JSON codec of one query op: it decodes the body
+// into the op's request type, runs the core, and encodes the answer or
+// the error at the HTTP status the core's outcome maps to.
+func (s *Server) handleQuery(op uint8) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := query{op: op, mesh: r.PathValue("name")}
+		if err := decodeQuery(r, &q); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
-		out = append(out, item)
+		s.answer(&q, func(status uint8, msg string, sc *reqScratch) {
+			if status != wire.StatusOK {
+				writeJSON(w, wire.HTTPStatus(status), wire.ErrorBody{Error: msg})
+				return
+			}
+			writeJSON(w, http.StatusOK, jsonAnswer(&q, sc))
+		})
 	}
-	sc.out = out
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
 }
 
-// fanRequest is the shared one-source/many-destination batch body.
-type fanRequest struct {
-	Src      extmesh.Coord     `json:"src"`
-	Dests    []extmesh.Coord   `json:"dests"`
-	Model    string            `json:"model"`
-	Strategy *extmesh.Strategy `json:"strategy"`
-}
-
-func (f *fanRequest) strategy() extmesh.Strategy {
-	if f.Strategy != nil {
-		return *f.Strategy
-	}
-	return extmesh.DefaultStrategy()
-}
-
-func (f *fanRequest) validate() error {
-	if len(f.Dests) == 0 {
-		return fmt.Errorf("empty batch")
-	}
-	if len(f.Dests) > MaxBatch {
-		return fmt.Errorf("batch of %d destinations exceeds the %d limit", len(f.Dests), MaxBatch)
+// decodeQuery parses the body of q.op's endpoint into q.
+func decodeQuery(r *http.Request, q *query) error {
+	switch q.op {
+	case wire.OpRouteBatch:
+		var req wire.RouteBatchRequest
+		if err := decodeBody(r, &req); err != nil {
+			return err
+		}
+		q.pairs, q.model, q.omit = req.Pairs, req.Model, req.OmitPaths
+	case wire.OpHasMinimalPathBatch, wire.OpEnsureBatch:
+		var req wire.FanRequest
+		if err := decodeBody(r, &req); err != nil {
+			return err
+		}
+		q.src, q.dests, q.model, q.strategy = req.Src, req.Dests, req.Model, req.Strategy
+	default:
+		var req wire.Query
+		if err := decodeBody(r, &req); err != nil {
+			return err
+		}
+		q.src, q.dst, q.model, q.strategy, q.omit = req.Src, req.Dst, req.Model, req.Strategy, req.OmitPath
 	}
 	return nil
 }
 
-// handleHasMinimalPathBatch serves one source against many
-// destinations from a single reachability sweep (HasMinimalPathAll).
-func (s *Server) handleHasMinimalPathBatch(w http.ResponseWriter, r *http.Request) {
-	var req fanRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+// jsonAnswer is the JSON body of a successful query.
+func jsonAnswer(q *query, sc *reqScratch) any {
+	path := sc.path
+	if q.omit {
+		path = nil
 	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	switch q.op {
+	case wire.OpRoute:
+		return wire.RouteResult{Hops: len(sc.path) - 1, Path: path}
+	case opRouteAssured:
+		a := assuranceJSON(&sc.assurance, len(sc.path)-1)
+		a.Path = path
+		return a
+	case wire.OpSafe:
+		return wire.SafeResult{Safe: sc.ok}
+	case wire.OpHasMinimalPath:
+		return wire.ExistsResult{Exists: sc.ok}
+	case wire.OpEnsure:
+		return assuranceJSON(&sc.assurance, -1)
+	case wire.OpRouteBatch:
+		out := sc.out[:0]
+		for _, res := range sc.routes {
+			item := wire.BatchRouteResult{Hops: len(res.Path) - 1}
+			switch {
+			case res.Err != nil:
+				item = wire.BatchRouteResult{Hops: -1, Error: res.Err.Error()}
+			case !q.omit:
+				item.Path = res.Path
+			}
+			out = append(out, item)
+		}
+		sc.out = out
+		return wire.Results[wire.BatchRouteResult]{Results: out}
+	case wire.OpHasMinimalPathBatch:
+		return wire.Results[bool]{Results: sc.bools}
+	default: // wire.OpEnsureBatch; the core answers no other op
+		out := make([]wire.Assurance, len(sc.assurances))
+		for i := range sc.assurances {
+			out[i] = assuranceJSON(&sc.assurances[i], -1)
+		}
+		return wire.Results[wire.Assurance]{Results: out}
 	}
-	_, _, n := s.snapshotFor(w, r)
-	if n == nil {
-		return
-	}
-	sc := scratchPool.Get().(*reqScratch)
-	defer scratchPool.Put(sc)
-	sc.bools = n.HasMinimalPathAllInto(sc.bools, req.Src, req.Dests)
-	writeJSON(w, http.StatusOK, map[string]any{"results": sc.bools})
 }
 
-func (s *Server) handleEnsureBatch(w http.ResponseWriter, r *http.Request) {
-	var req fanRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fm, err := parseModel(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	_, _, n := s.snapshotFor(w, r)
-	if n == nil {
-		return
-	}
-	assurances := n.EnsureAll(req.Src, req.Dests, fm, req.strategy())
-	out := make([]assuredResponse, len(assurances))
-	for i := range assurances {
-		out[i] = assuredResponse{Verdict: assurances[i].Verdict.String(), Via: assurances[i].Via(), Hops: -1}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": out})
+func assuranceJSON(a *extmesh.Assurance, hops int) wire.Assurance {
+	return wire.Assurance{Verdict: a.Verdict.String(), Via: a.Via(), Hops: hops}
 }
 
 // --- admin ----------------------------------------------------------
-
-// faultsRequest is the POST .../faults body: either explicit fail and
-// recover lists, or an inject schedule spec ("random:rate=0.01",
-// "bursts:count=2,size=6", "fail@0:3,4;recover@9:3,4", ...) whose
-// events are applied immediately, in schedule order.
-type faultsRequest struct {
-	Fail    []extmesh.Coord `json:"fail"`
-	Recover []extmesh.Coord `json:"recover"`
-	Spec    string          `json:"spec"`
-	Cycles  int             `json:"cycles"` // spec horizon (default 1000)
-	Seed    int64           `json:"seed"`   // spec generator seed
-}
-
-// faultsResponse reports what the batch changed.
-type faultsResponse struct {
-	Applied int    `json:"applied"`
-	Skipped int    `json:"skipped"`
-	Faults  int    `json:"faults"`
-	Version uint64 `json:"version"`
-}
 
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	if s.denyWrite(w, r) {
 		return
 	}
-	var req faultsRequest
+	var req wire.FaultsRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -702,7 +443,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	if applied > 0 && !s.confirmWrite(w) {
 		return
 	}
-	writeJSON(w, http.StatusOK, faultsResponse{
+	writeJSON(w, http.StatusOK, wire.FaultsResult{
 		Applied: applied,
 		Skipped: skipped,
 		Faults:  d.FaultCount(),
@@ -710,27 +451,15 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// statsResponse is the per-mesh observability view: the reach-cache
-// effectiveness of the current snapshot, the mesh vitals, and the
-// server-wide reliability sweep counters.
-type statsResponse struct {
-	meshInfo
-	ReachHits    uint64           `json:"reach_hits"`
-	ReachMisses  uint64           `json:"reach_misses"`
-	ReachHitRate float64          `json:"reach_hit_rate"`
-	Reliability  reliabilityStats `json:"reliability"`
-	Epoch        uint64           `json:"epoch"`
-	Promotions   uint64           `json:"promotions"`
-	FencedWrites uint64           `json:"fenced_writes"`
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	name, d, n := s.snapshotFor(w, r)
+	name := r.PathValue("name")
+	d, n, status, msg := s.snapshot(name)
 	if n == nil {
+		writeError(w, wire.HTTPStatus(status), "%s", msg)
 		return
 	}
 	hits, misses := n.ReachCacheStats()
-	resp := statsResponse{meshInfo: infoOf(name, d), ReachHits: hits, ReachMisses: misses,
+	resp := wire.Stats{MeshInfo: infoOf(name, d), ReachHits: hits, ReachMisses: misses,
 		Reliability: s.reliabilityStats(),
 		Epoch:       s.Epoch(), Promotions: s.promotions.Value(), FencedWrites: s.fencedWrites.Value()}
 	if total := hits + misses; total > 0 {

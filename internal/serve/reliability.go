@@ -6,6 +6,7 @@ import (
 
 	"extmesh/internal/metrics"
 	"extmesh/internal/reliability"
+	"extmesh/internal/wire"
 )
 
 // Structural caps on one sweep request, enforced before the cost
@@ -127,16 +128,8 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// reliabilityStats is the sweep-counter block of /stats.
-type reliabilityStats struct {
-	Sweeps   uint64 `json:"sweeps"`
-	Trials   uint64 `json:"trials"`
-	Shed     uint64 `json:"shed"`
-	InFlight int64  `json:"in_flight"`
-}
-
-func (s *Server) reliabilityStats() reliabilityStats {
-	return reliabilityStats{
+func (s *Server) reliabilityStats() wire.SweepStats {
+	return wire.SweepStats{
 		Sweeps:   s.sweeps.runs.Value(),
 		Trials:   s.sweeps.trials.Value(),
 		Shed:     s.sweeps.shed.Value(),

@@ -12,6 +12,7 @@ import (
 	"extmesh"
 	"extmesh/internal/metrics"
 	"extmesh/internal/reliability"
+	"extmesh/internal/wire"
 )
 
 // newSweepServer returns a reliability-focused test server with its
@@ -111,7 +112,7 @@ func TestReliabilityCaps(t *testing.T) {
 		if code != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", name, code, tc.status, body)
 		}
-		var e errorResponse
+		var e wire.ErrorBody
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body not machine-readable: %q", name, body)
 		}
@@ -160,7 +161,7 @@ func TestReliabilityShedAndStats(t *testing.T) {
 	}
 
 	var stats struct {
-		Reliability reliabilityStats `json:"reliability"`
+		Reliability wire.SweepStats `json:"reliability"`
 	}
 	r2, err := http.Get(ts.URL + "/v1/mesh/m/stats")
 	if err != nil {

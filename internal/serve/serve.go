@@ -50,6 +50,7 @@ import (
 
 	"extmesh/internal/journal"
 	"extmesh/internal/metrics"
+	"extmesh/internal/wire"
 )
 
 // Options configures a Server. The zero value serves with defaults.
@@ -236,14 +237,14 @@ func New(opts Options) *Server {
 	v1("GET /v1/mesh/{name}", "mesh_get", s.handleGetMesh)
 	v1("PUT /v1/mesh/{name}", "mesh_upload", s.handleUploadMesh)
 	v1("DELETE /v1/mesh/{name}", "mesh_delete", s.handleDeleteMesh)
-	v1("POST /v1/mesh/{name}/route", "route", s.handleRoute)
-	v1("POST /v1/mesh/{name}/route-assured", "route_assured", s.handleRouteAssured)
-	v1("POST /v1/mesh/{name}/safe", "safe", s.handleSafe)
-	v1("POST /v1/mesh/{name}/ensure", "ensure", s.handleEnsure)
-	v1("POST /v1/mesh/{name}/has-minimal-path", "has_minimal_path", s.handleHasMinimalPath)
-	v1("POST /v1/mesh/{name}/route/batch", "route_batch", s.handleRouteBatch)
-	v1("POST /v1/mesh/{name}/ensure/batch", "ensure_batch", s.handleEnsureBatch)
-	v1("POST /v1/mesh/{name}/has-minimal-path/batch", "has_minimal_path_batch", s.handleHasMinimalPathBatch)
+	v1("POST /v1/mesh/{name}/route", "route", s.handleQuery(wire.OpRoute))
+	v1("POST /v1/mesh/{name}/route-assured", "route_assured", s.handleQuery(opRouteAssured))
+	v1("POST /v1/mesh/{name}/safe", "safe", s.handleQuery(wire.OpSafe))
+	v1("POST /v1/mesh/{name}/ensure", "ensure", s.handleQuery(wire.OpEnsure))
+	v1("POST /v1/mesh/{name}/has-minimal-path", "has_minimal_path", s.handleQuery(wire.OpHasMinimalPath))
+	v1("POST /v1/mesh/{name}/route/batch", "route_batch", s.handleQuery(wire.OpRouteBatch))
+	v1("POST /v1/mesh/{name}/ensure/batch", "ensure_batch", s.handleQuery(wire.OpEnsureBatch))
+	v1("POST /v1/mesh/{name}/has-minimal-path/batch", "has_minimal_path_batch", s.handleQuery(wire.OpHasMinimalPathBatch))
 	v1("POST /v1/mesh/{name}/faults", "faults", s.handleFaults)
 	v1("GET /v1/mesh/{name}/stats", "stats", s.handleStats)
 	v1("POST /v1/reliability", "reliability", s.handleReliability)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"extmesh"
+	"extmesh/internal/wire"
 )
 
 // testFaults is a fixed fault set with interesting structure on a
@@ -97,28 +98,28 @@ func TestMeshLifecycle(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 
 	// Create a second mesh from a spec.
-	var info meshInfo
-	code := post(t, ts.URL+"/v1/mesh", createRequest{
+	var info wire.MeshInfo
+	code := post(t, ts.URL+"/v1/mesh", wire.CreateRequest{
 		Name: "grid", Width: 8, Height: 8, Faults: []extmesh.Coord{{X: 2, Y: 2}},
 	}, &info)
 	if code != http.StatusCreated || info.Width != 8 || info.Faults != 1 {
 		t.Fatalf("create = %d %+v", code, info)
 	}
 	// Duplicate name conflicts.
-	if code := post(t, ts.URL+"/v1/mesh", createRequest{Name: "grid", Width: 4, Height: 4}, nil); code != http.StatusConflict {
+	if code := post(t, ts.URL+"/v1/mesh", wire.CreateRequest{Name: "grid", Width: 4, Height: 4}, nil); code != http.StatusConflict {
 		t.Errorf("duplicate create = %d, want 409", code)
 	}
 	// Invalid name and dimensions are rejected.
-	if code := post(t, ts.URL+"/v1/mesh", createRequest{Name: "../etc", Width: 4, Height: 4}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/mesh", wire.CreateRequest{Name: "../etc", Width: 4, Height: 4}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad name = %d, want 400", code)
 	}
-	if code := post(t, ts.URL+"/v1/mesh", createRequest{Name: "big", Width: 1 << 20, Height: 1 << 20}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/mesh", wire.CreateRequest{Name: "big", Width: 1 << 20, Height: 1 << 20}, nil); code != http.StatusBadRequest {
 		t.Errorf("absurd dims = %d, want 400", code)
 	}
 
 	// List shows both meshes sorted.
 	var list struct {
-		Meshes []meshInfo `json:"meshes"`
+		Meshes []wire.MeshInfo `json:"meshes"`
 	}
 	if code := get(t, ts.URL+"/v1/mesh", &list); code != http.StatusOK || len(list.Meshes) != 2 {
 		t.Fatalf("list = %d %+v", code, list)
@@ -198,9 +199,9 @@ func TestQueryParity(t *testing.T) {
 		}
 		for _, pr := range pairs {
 			// route
-			var rr routeResponse
+			var rr wire.RouteResult
 			code := post(t, ts.URL+"/v1/mesh/m/route",
-				queryRequest{Src: pr.s, Dst: pr.d, Model: model}, &rr)
+				wire.Query{Src: pr.s, Dst: pr.d, Model: model}, &rr)
 			wantPath, wantErr := direct.Route(pr.s, pr.d, fm)
 			if wantErr != nil {
 				if code != http.StatusUnprocessableEntity {
@@ -214,23 +215,23 @@ func TestQueryParity(t *testing.T) {
 			var sr struct {
 				Safe bool `json:"safe"`
 			}
-			post(t, ts.URL+"/v1/mesh/m/safe", queryRequest{Src: pr.s, Dst: pr.d, Model: model}, &sr)
+			post(t, ts.URL+"/v1/mesh/m/safe", wire.Query{Src: pr.s, Dst: pr.d, Model: model}, &sr)
 			if sr.Safe != direct.Safe(pr.s, pr.d, fm) {
 				t.Errorf("%v->%v %s: safe mismatch", pr.s, pr.d, model)
 			}
 
 			// ensure
-			var er assuredResponse
-			post(t, ts.URL+"/v1/mesh/m/ensure", queryRequest{Src: pr.s, Dst: pr.d, Model: model}, &er)
+			var er wire.Assurance
+			post(t, ts.URL+"/v1/mesh/m/ensure", wire.Query{Src: pr.s, Dst: pr.d, Model: model}, &er)
 			wantA := direct.Ensure(pr.s, pr.d, fm, st)
 			if er.Verdict != wantA.Verdict.String() {
 				t.Errorf("%v->%v %s: ensure verdict %q != %q", pr.s, pr.d, model, er.Verdict, wantA.Verdict)
 			}
 
 			// route-assured
-			var ar assuredResponse
+			var ar wire.Assurance
 			code = post(t, ts.URL+"/v1/mesh/m/route-assured",
-				queryRequest{Src: pr.s, Dst: pr.d, Model: model}, &ar)
+				wire.Query{Src: pr.s, Dst: pr.d, Model: model}, &ar)
 			wp, wa, werr := direct.RouteAssured(pr.s, pr.d, fm, st)
 			if werr != nil {
 				if code != http.StatusUnprocessableEntity {
@@ -245,7 +246,7 @@ func TestQueryParity(t *testing.T) {
 			var hr struct {
 				Exists bool `json:"exists"`
 			}
-			post(t, ts.URL+"/v1/mesh/m/has-minimal-path", queryRequest{Src: pr.s, Dst: pr.d}, &hr)
+			post(t, ts.URL+"/v1/mesh/m/has-minimal-path", wire.Query{Src: pr.s, Dst: pr.d}, &hr)
 			if hr.Exists != direct.HasMinimalPath(pr.s, pr.d) {
 				t.Errorf("%v->%v: existence mismatch", pr.s, pr.d)
 			}
@@ -257,21 +258,21 @@ func TestBatchParity(t *testing.T) {
 	_, ts, direct := newTestServer(t)
 	src := extmesh.Coord{X: 0, Y: 0}
 	var dests []extmesh.Coord
-	var reqPairs []pairJSON
+	var reqPairs []wire.Pair
 	for y := 0; y < 16; y += 3 {
 		for x := 1; x < 16; x += 4 {
 			d := extmesh.Coord{X: x, Y: y}
 			dests = append(dests, d)
-			reqPairs = append(reqPairs, pairJSON{Src: src, Dst: d})
+			reqPairs = append(reqPairs, wire.Pair{Src: src, Dst: d})
 		}
 	}
 
 	// route/batch against RouteMany.
 	var rb struct {
-		Results []routeBatchResult `json:"results"`
+		Results []wire.BatchRouteResult `json:"results"`
 	}
 	code := post(t, ts.URL+"/v1/mesh/m/route/batch",
-		routeBatchRequest{Pairs: reqPairs}, &rb)
+		wire.RouteBatchRequest{Pairs: reqPairs}, &rb)
 	if code != http.StatusOK || len(rb.Results) != len(reqPairs) {
 		t.Fatalf("route/batch = %d with %d results", code, len(rb.Results))
 	}
@@ -294,10 +295,10 @@ func TestBatchParity(t *testing.T) {
 
 	// omit_paths keeps the hop counts.
 	var rbLean struct {
-		Results []routeBatchResult `json:"results"`
+		Results []wire.BatchRouteResult `json:"results"`
 	}
 	post(t, ts.URL+"/v1/mesh/m/route/batch",
-		routeBatchRequest{Pairs: reqPairs, OmitPaths: true}, &rbLean)
+		wire.RouteBatchRequest{Pairs: reqPairs, OmitPaths: true}, &rbLean)
 	for i := range want {
 		if want[i].Err == nil {
 			if rbLean.Results[i].Path != nil || rbLean.Results[i].Hops != len(want[i].Path)-1 {
@@ -311,16 +312,16 @@ func TestBatchParity(t *testing.T) {
 	var hb struct {
 		Results []bool `json:"results"`
 	}
-	post(t, ts.URL+"/v1/mesh/m/has-minimal-path/batch", fanRequest{Src: src, Dests: dests}, &hb)
+	post(t, ts.URL+"/v1/mesh/m/has-minimal-path/batch", wire.FanRequest{Src: src, Dests: dests}, &hb)
 	if got, want := hb.Results, direct.HasMinimalPathAll(src, dests); !reflect.DeepEqual(got, want) {
 		t.Errorf("existence batch %v != %v", got, want)
 	}
 
 	// ensure/batch against EnsureAll.
 	var eb struct {
-		Results []assuredResponse `json:"results"`
+		Results []wire.Assurance `json:"results"`
 	}
-	post(t, ts.URL+"/v1/mesh/m/ensure/batch", fanRequest{Src: src, Dests: dests}, &eb)
+	post(t, ts.URL+"/v1/mesh/m/ensure/batch", wire.FanRequest{Src: src, Dests: dests}, &eb)
 	wantA := direct.EnsureAll(src, dests, extmesh.Blocks, extmesh.DefaultStrategy())
 	for i := range wantA {
 		if eb.Results[i].Verdict != wantA[i].Verdict.String() {
@@ -329,11 +330,11 @@ func TestBatchParity(t *testing.T) {
 	}
 
 	// Oversized and empty batches are rejected.
-	huge := make([]pairJSON, MaxBatch+1)
-	if code := post(t, ts.URL+"/v1/mesh/m/route/batch", routeBatchRequest{Pairs: huge}, nil); code != http.StatusBadRequest {
+	huge := make([]wire.Pair, MaxBatch+1)
+	if code := post(t, ts.URL+"/v1/mesh/m/route/batch", wire.RouteBatchRequest{Pairs: huge}, nil); code != http.StatusBadRequest {
 		t.Errorf("oversized batch = %d, want 400", code)
 	}
-	if code := post(t, ts.URL+"/v1/mesh/m/route/batch", routeBatchRequest{}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/mesh/m/route/batch", wire.RouteBatchRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty batch = %d, want 400", code)
 	}
 }
@@ -345,7 +346,7 @@ func TestFaultAdminReroutesLiveTraffic(t *testing.T) {
 	var hr struct {
 		Exists bool `json:"exists"`
 	}
-	post(t, ts.URL+"/v1/mesh/m/has-minimal-path", queryRequest{Src: src, Dst: dst}, &hr)
+	post(t, ts.URL+"/v1/mesh/m/has-minimal-path", wire.Query{Src: src, Dst: dst}, &hr)
 	if !hr.Exists {
 		t.Fatal("row path should exist before the wall")
 	}
@@ -356,28 +357,28 @@ func TestFaultAdminReroutesLiveTraffic(t *testing.T) {
 	for y := 0; y < 16; y++ {
 		wall = append(wall, extmesh.Coord{X: 8, Y: y})
 	}
-	var fr faultsResponse
-	code := post(t, ts.URL+"/v1/mesh/m/faults", faultsRequest{Fail: wall}, &fr)
+	var fr wire.FaultsResult
+	code := post(t, ts.URL+"/v1/mesh/m/faults", wire.FaultsRequest{Fail: wall}, &fr)
 	if code != http.StatusOK || fr.Applied != len(wall) {
 		t.Fatalf("faults = %d %+v", code, fr)
 	}
-	post(t, ts.URL+"/v1/mesh/m/has-minimal-path", queryRequest{Src: src, Dst: dst}, &hr)
+	post(t, ts.URL+"/v1/mesh/m/has-minimal-path", wire.Query{Src: src, Dst: dst}, &hr)
 	if hr.Exists {
 		t.Error("wall should cut the mesh")
 	}
 
 	// Recover the wall; traffic resumes.
-	post(t, ts.URL+"/v1/mesh/m/faults", faultsRequest{Recover: wall}, &fr)
+	post(t, ts.URL+"/v1/mesh/m/faults", wire.FaultsRequest{Recover: wall}, &fr)
 	if fr.Applied != len(wall) {
 		t.Fatalf("recover applied %d, want %d", fr.Applied, len(wall))
 	}
-	post(t, ts.URL+"/v1/mesh/m/has-minimal-path", queryRequest{Src: src, Dst: dst}, &hr)
+	post(t, ts.URL+"/v1/mesh/m/has-minimal-path", wire.Query{Src: src, Dst: dst}, &hr)
 	if !hr.Exists {
 		t.Error("recovered mesh should route again")
 	}
 
 	// Idempotent replay: recovering again skips.
-	post(t, ts.URL+"/v1/mesh/m/faults", faultsRequest{Recover: wall[:3]}, &fr)
+	post(t, ts.URL+"/v1/mesh/m/faults", wire.FaultsRequest{Recover: wall[:3]}, &fr)
 	if fr.Applied != 0 || fr.Skipped != 3 {
 		t.Errorf("replayed recover = %+v, want 0 applied / 3 skipped", fr)
 	}
@@ -385,9 +386,9 @@ func TestFaultAdminReroutesLiveTraffic(t *testing.T) {
 
 func TestFaultAdminSpec(t *testing.T) {
 	_, ts, _ := newTestServer(t)
-	var fr faultsResponse
+	var fr wire.FaultsResult
 	code := post(t, ts.URL+"/v1/mesh/m/faults",
-		faultsRequest{Spec: "fail@0:1,1;fail@1:2,1;recover@2:1,1"}, &fr)
+		wire.FaultsRequest{Spec: "fail@0:1,1;fail@1:2,1;recover@2:1,1"}, &fr)
 	if code != http.StatusOK {
 		t.Fatalf("spec faults = %d %+v", code, fr)
 	}
@@ -396,17 +397,17 @@ func TestFaultAdminSpec(t *testing.T) {
 	}
 	// Generated schedules work too and are deterministic per seed.
 	code = post(t, ts.URL+"/v1/mesh/m/faults",
-		faultsRequest{Spec: "random:rate=0.05", Cycles: 100, Seed: 42}, &fr)
+		wire.FaultsRequest{Spec: "random:rate=0.05", Cycles: 100, Seed: 42}, &fr)
 	if code != http.StatusOK || fr.Applied == 0 {
 		t.Fatalf("random spec = %d %+v, want some applied", code, fr)
 	}
 	// Bad specs are 400.
-	if code := post(t, ts.URL+"/v1/mesh/m/faults", faultsRequest{Spec: "meteor:rate=1"}, nil); code != http.StatusBadRequest {
+	if code := post(t, ts.URL+"/v1/mesh/m/faults", wire.FaultsRequest{Spec: "meteor:rate=1"}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad spec = %d, want 400", code)
 	}
 	// Spec plus explicit lists is ambiguous.
 	if code := post(t, ts.URL+"/v1/mesh/m/faults",
-		faultsRequest{Spec: "random:rate=0.1", Fail: []extmesh.Coord{{X: 1, Y: 2}}}, nil); code != http.StatusBadRequest {
+		wire.FaultsRequest{Spec: "random:rate=0.1", Fail: []extmesh.Coord{{X: 1, Y: 2}}}, nil); code != http.StatusBadRequest {
 		t.Errorf("spec+fail = %d, want 400", code)
 	}
 }
@@ -414,11 +415,11 @@ func TestFaultAdminSpec(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	// Warm the reach cache with repeated existence queries.
-	q := queryRequest{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 15, Y: 15}}
+	q := wire.Query{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 15, Y: 15}}
 	for i := 0; i < 5; i++ {
 		post(t, ts.URL+"/v1/mesh/m/has-minimal-path", q, nil)
 	}
-	var st statsResponse
+	var st wire.Stats
 	if code := get(t, ts.URL+"/v1/mesh/m/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats = %d", code)
 	}
@@ -442,7 +443,7 @@ func TestOpsEndpoints(t *testing.T) {
 		t.Errorf("healthz = %d %+v", code, h)
 	}
 	post(t, ts.URL+"/v1/mesh/m/has-minimal-path",
-		queryRequest{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil)
+		wire.Query{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -480,7 +481,7 @@ func TestBadRequests(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	// Unknown mesh.
 	if code := post(t, ts.URL+"/v1/mesh/ghost/route",
-		queryRequest{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil); code != http.StatusNotFound {
+		wire.Query{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil); code != http.StatusNotFound {
 		t.Errorf("unknown mesh = %d, want 404", code)
 	}
 	// Malformed JSON.
@@ -492,14 +493,27 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", resp.StatusCode)
 	}
-	// Unknown model.
-	if code := post(t, ts.URL+"/v1/mesh/m/route",
-		queryRequest{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}, Model: "cubes"}, nil); code != http.StatusBadRequest {
-		t.Errorf("bad model = %d, want 400", code)
+	// Unknown model, on every query endpoint: existence answers do not
+	// depend on the model, but a bad one is still a bad request.
+	for _, path := range []string{"/route", "/safe", "/ensure", "/route-assured", "/has-minimal-path"} {
+		if code := post(t, ts.URL+"/v1/mesh/m"+path,
+			wire.Query{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}, Model: "cubes"}, nil); code != http.StatusBadRequest {
+			t.Errorf("%s with bad model = %d, want 400", path, code)
+		}
+	}
+	if code := post(t, ts.URL+"/v1/mesh/m/route/batch",
+		wire.RouteBatchRequest{Pairs: []wire.Pair{{}}, Model: "cubes"}, nil); code != http.StatusBadRequest {
+		t.Errorf("route batch with bad model = %d, want 400", code)
+	}
+	for _, path := range []string{"/ensure/batch", "/has-minimal-path/batch"} {
+		if code := post(t, ts.URL+"/v1/mesh/m"+path,
+			wire.FanRequest{Dests: []extmesh.Coord{{X: 1, Y: 1}}, Model: "cubes"}, nil); code != http.StatusBadRequest {
+			t.Errorf("%s with bad model = %d, want 400", path, code)
+		}
 	}
 	// Out-of-mesh endpoints route nowhere.
 	if code := post(t, ts.URL+"/v1/mesh/m/route",
-		queryRequest{Src: extmesh.Coord{X: -1, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil); code != http.StatusUnprocessableEntity {
+		wire.Query{Src: extmesh.Coord{X: -1, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil); code != http.StatusUnprocessableEntity {
 		t.Errorf("out-of-mesh route = %d, want 422", code)
 	}
 }
@@ -524,7 +538,7 @@ func TestAdmissionSheds(t *testing.T) {
 	// First request queues and then sheds after QueueWait.
 	start := time.Now()
 	code := post(t, ts.URL+"/v1/mesh/m/has-minimal-path",
-		queryRequest{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil)
+		wire.Query{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("queued request = %d, want 429", code)
 	}
@@ -556,7 +570,7 @@ func TestAdmissionSheds(t *testing.T) {
 	// never gated.
 	<-s.admit.slots
 	if code := post(t, ts.URL+"/v1/mesh/m/has-minimal-path",
-		queryRequest{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil); code != http.StatusOK {
+		wire.Query{Src: extmesh.Coord{X: 0, Y: 0}, Dst: extmesh.Coord{X: 1, Y: 1}}, nil); code != http.StatusOK {
 		t.Errorf("after release = %d, want 200", code)
 	}
 	shed := s.metrics.Counter("http_shed_total").Value()
@@ -648,8 +662,8 @@ func TestGracefulDrain(t *testing.T) {
 func TestServedRouteMatchesAfterMutation(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	extra := []extmesh.Coord{{X: 8, Y: 8}, {X: 8, Y: 9}, {X: 9, Y: 8}}
-	var fr faultsResponse
-	if code := post(t, ts.URL+"/v1/mesh/m/faults", faultsRequest{Fail: extra}, &fr); code != http.StatusOK {
+	var fr wire.FaultsResult
+	if code := post(t, ts.URL+"/v1/mesh/m/faults", wire.FaultsRequest{Fail: extra}, &fr); code != http.StatusOK {
 		t.Fatalf("faults = %d", code)
 	}
 	direct, err := extmesh.New(16, 16, append(append([]extmesh.Coord{}, testFaults...), extra...))
@@ -657,8 +671,8 @@ func TestServedRouteMatchesAfterMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, dst := extmesh.Coord{X: 0, Y: 0}, extmesh.Coord{X: 15, Y: 15}
-	var rr routeResponse
-	code := post(t, ts.URL+"/v1/mesh/m/route", queryRequest{Src: src, Dst: dst}, &rr)
+	var rr wire.RouteResult
+	code := post(t, ts.URL+"/v1/mesh/m/route", wire.Query{Src: src, Dst: dst}, &rr)
 	wantPath, wantErr := direct.Route(src, dst, extmesh.Blocks)
 	if wantErr != nil {
 		if code != http.StatusUnprocessableEntity {

@@ -1,8 +1,10 @@
-// Package wire is the binary query protocol shared by the meshserved
-// binary listener and the meshclient binary transport: length-prefixed
-// little-endian frames over a persistent pipelined connection, carrying
-// the same query operations as the JSON endpoints with none of the
-// per-request HTTP and JSON overhead.
+// Package wire is the query protocol shared by meshserved and
+// meshclient. It declares the JSON request and answer types of the HTTP
+// endpoints (json.go), the status table both planes answer with, and
+// the binary protocol: length-prefixed little-endian frames over a
+// persistent pipelined connection, carrying the same query operations
+// as the JSON endpoints with none of the per-request HTTP and JSON
+// overhead.
 //
 // # Framing
 //
@@ -85,7 +87,8 @@ const (
 	FlagMCC = 1 << 1
 )
 
-// Response statuses, mirroring the JSON endpoints' HTTP statuses.
+// Response statuses. HTTPStatus maps each to the HTTP status the JSON
+// endpoints answer the same outcome with.
 const (
 	StatusOK            = 0 // 200
 	StatusBadRequest    = 1 // 400
@@ -256,16 +259,10 @@ func AppendRequest(b []byte, r *Request) []byte {
 		b = AppendCoord(b, r.Src)
 		b = AppendCoord(b, r.Dst)
 	case OpRouteBatch:
-		b = AppendU16(b, uint16(len(r.Pairs)/2))
-		for _, c := range r.Pairs {
-			b = AppendCoord(b, c)
-		}
+		b = appendCoords(AppendU16(b, uint16(len(r.Pairs)/2)), r.Pairs)
 	case OpHasMinimalPathBatch, OpEnsureBatch:
 		b = AppendCoord(b, r.Src)
-		b = AppendU16(b, uint16(len(r.Dests)))
-		for _, c := range r.Dests {
-			b = AppendCoord(b, c)
-		}
+		b = appendCoords(AppendU16(b, uint16(len(r.Dests))), r.Dests)
 	}
 	return b
 }
@@ -313,14 +310,8 @@ func DecodeRequest(body []byte) (*Request, error) {
 		if err != nil {
 			return &r, err
 		}
-		if cur.Remaining() < int(n)*16 {
-			return &r, errShort
-		}
-		r.Pairs = make([]mesh.Coord, 2*int(n))
-		for i := range r.Pairs {
-			if r.Pairs[i], err = cur.Coord(); err != nil {
-				return &r, err
-			}
+		if r.Pairs, err = decodeCoords(cur, 2*int64(n)); err != nil {
+			return &r, err
 		}
 	case OpHasMinimalPathBatch, OpEnsureBatch:
 		if r.Src, err = cur.Coord(); err != nil {
@@ -330,14 +321,8 @@ func DecodeRequest(body []byte) (*Request, error) {
 		if err != nil {
 			return &r, err
 		}
-		if cur.Remaining() < int(n)*8 {
-			return &r, errShort
-		}
-		r.Dests = make([]mesh.Coord, int(n))
-		for i := range r.Dests {
-			if r.Dests[i], err = cur.Coord(); err != nil {
-				return &r, err
-			}
+		if r.Dests, err = decodeCoords(cur, int64(n)); err != nil {
+			return &r, err
 		}
 	default:
 		return &r, fmt.Errorf("wire: unknown op %d", r.Op)
@@ -350,8 +335,8 @@ func DecodeRequest(body []byte) (*Request, error) {
 
 // --- responses --------------------------------------------------------
 
-// RouteResult is one pair's outcome in an OpRouteBatch response.
-type RouteResult struct {
+// RouteItem is one pair's outcome in an OpRouteBatch response.
+type RouteItem struct {
 	OK   bool
 	Hops int
 	Path []mesh.Coord
@@ -376,7 +361,7 @@ type Response struct {
 	Hops    int            // OpRoute
 	Path    []mesh.Coord   // OpRoute
 	Ensure  EnsureResult   // OpEnsure
-	Routes  []RouteResult  // OpRouteBatch
+	Routes  []RouteItem    // OpRouteBatch
 	Bits    []bool         // OpHasMinimalPathBatch
 	Ensures []EnsureResult // OpEnsureBatch
 }
@@ -384,12 +369,16 @@ type Response struct {
 // AppendError encodes a non-OK response.
 func AppendError(b []byte, id uint32, status uint8, msg string) []byte {
 	b = AppendU32(b, id)
-	b = append(b, status)
-	if len(msg) > 0xffff {
-		msg = msg[:0xffff]
+	return AppendString(append(b, status), msg)
+}
+
+// AppendString encodes u16 length plus bytes, truncating s to 64 KiB.
+func AppendString(b []byte, s string) []byte {
+	if len(s) > 0xffff {
+		s = s[:0xffff]
 	}
-	b = AppendU16(b, uint16(len(msg)))
-	return append(b, msg...)
+	b = AppendU16(b, uint16(len(s)))
+	return append(b, s...)
 }
 
 // AppendOKHeader starts an OK response; the caller appends the
@@ -401,11 +390,24 @@ func AppendOKHeader(b []byte, id uint32) []byte {
 
 // AppendPath encodes u32 length plus coordinates.
 func AppendPath(b []byte, p []mesh.Coord) []byte {
-	b = AppendU32(b, uint32(len(p)))
-	for _, c := range p {
+	return appendCoords(AppendU32(b, uint32(len(p))), p)
+}
+
+func appendCoords(b []byte, cs []mesh.Coord) []byte {
+	for _, c := range cs {
 		b = AppendCoord(b, c)
 	}
 	return b
+}
+
+// AppendRoute encodes a route result: u32 hops (len(p)-1), then the
+// path, or an empty path when omit is set.
+func AppendRoute(b []byte, p []mesh.Coord, omit bool) []byte {
+	b = AppendU32(b, uint32(int32(len(p)-1)))
+	if omit {
+		return AppendU32(b, 0)
+	}
+	return AppendPath(b, p)
 }
 
 // AppendBools packs vs LSB-first into ceil(n/8) bytes after a u16
@@ -430,11 +432,7 @@ func AppendBools(b []byte, vs []bool) []byte {
 
 // AppendEnsure encodes one verdict-plus-via result.
 func AppendEnsure(b []byte, verdict uint8, via []mesh.Coord) []byte {
-	b = append(b, verdict, byte(len(via)))
-	for _, c := range via {
-		b = AppendCoord(b, c)
-	}
-	return b
+	return appendCoords(append(b, verdict, byte(len(via))), via)
 }
 
 // DecodeResponse parses a response frame body; op is the operation of
@@ -450,15 +448,9 @@ func DecodeResponse(body []byte, op uint8) (*Response, error) {
 		return nil, err
 	}
 	if resp.Status != StatusOK {
-		n, err := cur.U16()
-		if err != nil {
+		if resp.Err, err = decodeString(cur); err != nil {
 			return nil, err
 		}
-		msg, err := cur.Bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		resp.Err = string(msg)
 		return &resp, nil
 	}
 	switch op {
@@ -469,12 +461,7 @@ func DecodeResponse(body []byte, op uint8) (*Response, error) {
 		}
 		resp.Bool = v != 0
 	case OpRoute:
-		hops, err := cur.U32()
-		if err != nil {
-			return nil, err
-		}
-		resp.Hops = int(int32(hops))
-		if resp.Path, err = decodePath(cur); err != nil {
+		if resp.Hops, resp.Path, err = decodeRoute(cur); err != nil {
 			return nil, err
 		}
 	case OpEnsure:
@@ -486,33 +473,22 @@ func DecodeResponse(body []byte, op uint8) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp.Routes = make([]RouteResult, int(n))
+		resp.Routes = make([]RouteItem, int(n))
 		for i := range resp.Routes {
 			ok, err := cur.U8()
 			if err != nil {
 				return nil, err
 			}
-			if ok != 0 {
-				hops, err := cur.U32()
-				if err != nil {
-					return nil, err
-				}
-				path, err := decodePath(cur)
-				if err != nil {
-					return nil, err
-				}
-				resp.Routes[i] = RouteResult{OK: true, Hops: int(int32(hops)), Path: path}
+			r := RouteItem{OK: ok != 0, Hops: -1}
+			if r.OK {
+				r.Hops, r.Path, err = decodeRoute(cur)
 			} else {
-				en, err := cur.U16()
-				if err != nil {
-					return nil, err
-				}
-				msg, err := cur.Bytes(int(en))
-				if err != nil {
-					return nil, err
-				}
-				resp.Routes[i] = RouteResult{Hops: -1, Err: string(msg)}
+				r.Err, err = decodeString(cur)
 			}
+			if err != nil {
+				return nil, err
+			}
+			resp.Routes[i] = r
 		}
 	case OpHasMinimalPathBatch:
 		n, err := cur.U16()
@@ -547,24 +523,48 @@ func DecodeResponse(body []byte, op uint8) (*Response, error) {
 	return &resp, nil
 }
 
-func decodePath(cur *Cursor) ([]mesh.Coord, error) {
-	n, err := cur.U32()
+// decodeRoute decodes u32 hops then a path.
+func decodeRoute(cur *Cursor) (int, []mesh.Coord, error) {
+	hops, err := cur.U32()
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if int64(n)*8 > int64(cur.Remaining()) {
+	p, err := decodePath(cur)
+	return int(int32(hops)), p, err
+}
+
+func decodeString(cur *Cursor) (string, error) {
+	n, err := cur.U16()
+	if err != nil {
+		return "", err
+	}
+	b, err := cur.Bytes(int(n))
+	return string(b), err
+}
+
+// decodeCoords reads n coordinates. The count is checked against the
+// bytes actually present before anything is allocated, so a hostile
+// count cannot balloon memory; zero coordinates decode to nil.
+func decodeCoords(cur *Cursor, n int64) ([]mesh.Coord, error) {
+	if n*8 > int64(cur.Remaining()) {
 		return nil, errShort
 	}
 	if n == 0 {
 		return nil, nil
 	}
-	p := make([]mesh.Coord, int(n))
-	for i := range p {
-		if p[i], err = cur.Coord(); err != nil {
-			return nil, err
-		}
+	cs := make([]mesh.Coord, n)
+	for i := range cs {
+		cs[i], _ = cur.Coord() // cannot run short: checked above
 	}
-	return p, nil
+	return cs, nil
+}
+
+func decodePath(cur *Cursor) ([]mesh.Coord, error) {
+	n, err := cur.U32()
+	if err != nil {
+		return nil, err
+	}
+	return decodeCoords(cur, int64(n))
 }
 
 func decodeEnsure(cur *Cursor) (EnsureResult, error) {
@@ -577,13 +577,6 @@ func decodeEnsure(cur *Cursor) (EnsureResult, error) {
 	if err != nil {
 		return e, err
 	}
-	if int(n) > 0 {
-		e.Via = make([]mesh.Coord, int(n))
-		for i := range e.Via {
-			if e.Via[i], err = cur.Coord(); err != nil {
-				return e, err
-			}
-		}
-	}
-	return e, nil
+	e.Via, err = decodeCoords(cur, int64(n))
+	return e, err
 }

@@ -3,103 +3,44 @@ package meshclient
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 
 	"extmesh"
+	"extmesh/internal/wire"
 )
 
-// The wire types below mirror internal/serve's JSON contract. They are
-// declared here, not imported, so the client package documents the
-// protocol it speaks and stays importable outside this module.
+// The request and answer types are the server's own JSON schema
+// (internal/wire), so client and server cannot drift apart; the aliases
+// make them this package's types for callers outside the module.
+type (
+	MeshInfo         = wire.MeshInfo
+	MeshState        = wire.MeshState
+	Query            = wire.Query
+	RouteResult      = wire.RouteResult
+	Assurance        = wire.Assurance
+	Pair             = wire.Pair
+	BatchRouteResult = wire.BatchRouteResult
+	FaultsRequest    = wire.FaultsRequest
+	FaultsResult     = wire.FaultsResult
+	Stats            = wire.Stats
+)
 
-// MeshInfo is the summary the lifecycle endpoints return.
-type MeshInfo struct {
-	Name    string `json:"name"`
-	Width   int    `json:"width"`
-	Height  int    `json:"height"`
-	Faults  int    `json:"faults"`
-	Version uint64 `json:"version"`
+// transport performs one API call with Client.Do's contract.
+type transport func(ctx context.Context, method, path string, body []byte, idempotent bool) (*Response, error)
+
+// Endpoints is the typed meshserved API, built over two transports:
+// reads (queries and exports) and writes (lifecycle and fault
+// mutations). A Client sends both through its own Do; a ClusterClient
+// sends reads through DoRead and writes through DoWrite.
+type Endpoints struct {
+	read, write transport
 }
 
-// MeshState is the full export of GET /v1/mesh/{name}: the info plus
-// the complete fault list.
-type MeshState struct {
-	Name    string          `json:"name"`
-	Width   int             `json:"width"`
-	Height  int             `json:"height"`
-	Faults  []extmesh.Coord `json:"faults"`
-	Version uint64          `json:"version"`
-}
-
-// Query is the shared body of the single-pair query endpoints.
-type Query struct {
-	Src      extmesh.Coord     `json:"src"`
-	Dst      extmesh.Coord     `json:"dst"`
-	Model    string            `json:"model,omitempty"`    // "blocks" (default) or "mcc"
-	Strategy *extmesh.Strategy `json:"strategy,omitempty"` // nil = server default
-	OmitPath bool              `json:"omit_path,omitempty"`
-}
-
-// RouteResult is one routing outcome.
-type RouteResult struct {
-	Hops int          `json:"hops"`
-	Path extmesh.Path `json:"path,omitempty"`
-}
-
-// Assurance pairs a verdict with the condition that produced it.
-type Assurance struct {
-	Verdict string          `json:"verdict"`
-	Via     []extmesh.Coord `json:"via,omitempty"`
-	Hops    int             `json:"hops"`
-	Path    extmesh.Path    `json:"path,omitempty"`
-}
-
-// Pair is one source/destination pair of a batch request.
-type Pair struct {
-	Src extmesh.Coord `json:"src"`
-	Dst extmesh.Coord `json:"dst"`
-}
-
-// BatchRouteResult is one pair's outcome within a batch; Error is set
-// when that pair failed and the route fields are meaningless.
-type BatchRouteResult struct {
-	Hops  int          `json:"hops"`
-	Path  extmesh.Path `json:"path,omitempty"`
-	Error string       `json:"error,omitempty"`
-}
-
-// FaultsRequest is the POST .../faults body: explicit lists or an
-// inject-schedule spec (mutually exclusive).
-type FaultsRequest struct {
-	Fail    []extmesh.Coord `json:"fail,omitempty"`
-	Recover []extmesh.Coord `json:"recover,omitempty"`
-	Spec    string          `json:"spec,omitempty"`
-	Cycles  int             `json:"cycles,omitempty"`
-	Seed    int64           `json:"seed,omitempty"`
-}
-
-// FaultsResult reports what a fault batch changed.
-type FaultsResult struct {
-	Applied int    `json:"applied"`
-	Skipped int    `json:"skipped"`
-	Faults  int    `json:"faults"`
-	Version uint64 `json:"version"`
-}
-
-// Stats is the per-mesh observability view.
-type Stats struct {
-	MeshInfo
-	ReachHits    uint64  `json:"reach_hits"`
-	ReachMisses  uint64  `json:"reach_misses"`
-	ReachHitRate float64 `json:"reach_hit_rate"`
-}
-
-// call marshals req (nil means no body), performs Do, and decodes a
-// 2xx body into out (nil discards it).
-func (c *Client) call(ctx context.Context, method, path string, req any, idempotent bool, out any) error {
+// call marshals req (nil means no body), performs it over do, and
+// decodes a 2xx body into out (nil discards it).
+func call(ctx context.Context, do transport, method, path string, req any, idempotent bool, out any) error {
 	var body []byte
 	if req != nil {
 		var err error
@@ -108,7 +49,7 @@ func (c *Client) call(ctx context.Context, method, path string, req any, idempot
 			return fmt.Errorf("meshclient: encode request: %w", err)
 		}
 	}
-	resp, err := c.Do(ctx, method, path, body, idempotent)
+	resp, err := do(ctx, method, path, body, idempotent)
 	if err != nil {
 		return err
 	}
@@ -121,6 +62,20 @@ func (c *Client) call(ctx context.Context, method, path string, req any, idempot
 	return nil
 }
 
+// callFor is call decoding into a fresh T.
+func callFor[T any](ctx context.Context, do transport, method, path string, req any, idempotent bool) (*T, error) {
+	var out T
+	if err := call(ctx, do, method, path, req, idempotent, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// query posts a read-only query to one of mesh's endpoints.
+func query[T any](ctx context.Context, e Endpoints, mesh, suffix string, req any) (*T, error) {
+	return callFor[T](ctx, e.read, http.MethodPost, meshPath(mesh, suffix), req, true)
+}
+
 func meshPath(name, suffix string) string {
 	return "/v1/mesh/" + url.PathEscape(name) + suffix
 }
@@ -130,20 +85,16 @@ func meshPath(name, suffix string) string {
 // CreateMesh registers a named mesh. Not idempotent: a replayed create
 // would 409 against its own first delivery, so ambiguous failures are
 // surfaced rather than retried.
-func (c *Client) CreateMesh(ctx context.Context, name string, width, height int, faults []extmesh.Coord) (*MeshInfo, error) {
-	req := map[string]any{"name": name, "width": width, "height": height, "faults": faults}
-	var info MeshInfo
-	if err := c.call(ctx, http.MethodPost, "/v1/mesh", req, false, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+func (e Endpoints) CreateMesh(ctx context.Context, name string, width, height int, faults []extmesh.Coord) (*MeshInfo, error) {
+	req := wire.CreateRequest{Name: name, Width: width, Height: height, Faults: faults}
+	return callFor[MeshInfo](ctx, e.write, http.MethodPost, "/v1/mesh", req, false)
 }
 
 // UploadMesh creates or replaces a mesh from a serialized network blob
 // (extmesh.Network/DynamicNetwork MarshalJSON format). PUT is
 // idempotent — replaying it converges on the same state.
-func (c *Client) UploadMesh(ctx context.Context, name string, blob []byte) (*MeshInfo, error) {
-	resp, err := c.Do(ctx, http.MethodPut, meshPath(name, ""), blob, true)
+func (e Endpoints) UploadMesh(ctx context.Context, name string, blob []byte) (*MeshInfo, error) {
+	resp, err := e.write(ctx, http.MethodPut, meshPath(name, ""), blob, true)
 	if err != nil {
 		return nil, err
 	}
@@ -157,25 +108,21 @@ func (c *Client) UploadMesh(ctx context.Context, name string, blob []byte) (*Mes
 // DeleteMesh removes a mesh. Idempotent in effect, but a replayed
 // delete answers 404 — callers tolerating that may ignore
 // *APIError with Status 404.
-func (c *Client) DeleteMesh(ctx context.Context, name string) error {
-	return c.call(ctx, http.MethodDelete, meshPath(name, ""), nil, true, nil)
+func (e Endpoints) DeleteMesh(ctx context.Context, name string) error {
+	return call(ctx, e.write, http.MethodDelete, meshPath(name, ""), nil, true, nil)
 }
 
 // GetMesh exports a mesh: dimensions, version and full fault list.
-func (c *Client) GetMesh(ctx context.Context, name string) (*MeshState, error) {
-	var st MeshState
-	if err := c.call(ctx, http.MethodGet, meshPath(name, ""), nil, true, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+func (e Endpoints) GetMesh(ctx context.Context, name string) (*MeshState, error) {
+	return callFor[MeshState](ctx, e.read, http.MethodGet, meshPath(name, ""), nil, true)
 }
 
 // ListMeshes returns the registered mesh summaries.
-func (c *Client) ListMeshes(ctx context.Context) ([]MeshInfo, error) {
+func (e Endpoints) ListMeshes(ctx context.Context) ([]MeshInfo, error) {
 	var out struct {
 		Meshes []MeshInfo `json:"meshes"`
 	}
-	if err := c.call(ctx, http.MethodGet, "/v1/mesh", nil, true, &out); err != nil {
+	if err := call(ctx, e.read, http.MethodGet, "/v1/mesh", nil, true, &out); err != nil {
 		return nil, err
 	}
 	return out.Meshes, nil
@@ -184,50 +131,34 @@ func (c *Client) ListMeshes(ctx context.Context) ([]MeshInfo, error) {
 // --- single queries ---------------------------------------------------
 
 // Route asks for a Wu-protocol route.
-func (c *Client) Route(ctx context.Context, mesh string, q Query) (*RouteResult, error) {
-	var out RouteResult
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/route"), q, true, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+func (e Endpoints) Route(ctx context.Context, mesh string, q Query) (*RouteResult, error) {
+	return query[RouteResult](ctx, e, mesh, "/route", q)
 }
 
 // RouteAssured asks for an Ensure verdict plus the two-phase route it
 // guarantees.
-func (c *Client) RouteAssured(ctx context.Context, mesh string, q Query) (*Assurance, error) {
-	var out Assurance
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/route-assured"), q, true, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+func (e Endpoints) RouteAssured(ctx context.Context, mesh string, q Query) (*Assurance, error) {
+	return query[Assurance](ctx, e, mesh, "/route-assured", q)
 }
 
 // Safe evaluates the paper's Theorem-1 sufficient condition.
-func (c *Client) Safe(ctx context.Context, mesh string, q Query) (bool, error) {
-	var out struct {
-		Safe bool `json:"safe"`
-	}
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/safe"), q, true, &out); err != nil {
+func (e Endpoints) Safe(ctx context.Context, mesh string, q Query) (bool, error) {
+	out, err := query[wire.SafeResult](ctx, e, mesh, "/safe", q)
+	if err != nil {
 		return false, err
 	}
 	return out.Safe, nil
 }
 
 // Ensure runs the strategy cascade and returns its verdict.
-func (c *Client) Ensure(ctx context.Context, mesh string, q Query) (*Assurance, error) {
-	var out Assurance
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/ensure"), q, true, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+func (e Endpoints) Ensure(ctx context.Context, mesh string, q Query) (*Assurance, error) {
+	return query[Assurance](ctx, e, mesh, "/ensure", q)
 }
 
 // HasMinimalPath asks the exact existence question.
-func (c *Client) HasMinimalPath(ctx context.Context, mesh string, q Query) (bool, error) {
-	var out struct {
-		Exists bool `json:"exists"`
-	}
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/has-minimal-path"), q, true, &out); err != nil {
+func (e Endpoints) HasMinimalPath(ctx context.Context, mesh string, q Query) (bool, error) {
+	out, err := query[wire.ExistsResult](ctx, e, mesh, "/has-minimal-path", q)
+	if err != nil {
 		return false, err
 	}
 	return out.Exists, nil
@@ -236,27 +167,20 @@ func (c *Client) HasMinimalPath(ctx context.Context, mesh string, q Query) (bool
 // --- batch queries ----------------------------------------------------
 
 // RouteBatch routes many pairs in one request (server worker pool).
-func (c *Client) RouteBatch(ctx context.Context, mesh string, pairs []Pair, model string, omitPaths bool) ([]BatchRouteResult, error) {
-	req := map[string]any{"pairs": pairs, "model": model, "omit_paths": omitPaths}
-	var out struct {
-		Results []BatchRouteResult `json:"results"`
-	}
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/route/batch"), req, true, &out); err != nil {
+func (e Endpoints) RouteBatch(ctx context.Context, mesh string, pairs []Pair, model string, omitPaths bool) ([]BatchRouteResult, error) {
+	req := wire.RouteBatchRequest{Pairs: pairs, Model: model, OmitPaths: omitPaths}
+	out, err := query[wire.Results[BatchRouteResult]](ctx, e, mesh, "/route/batch", req)
+	if err != nil {
 		return nil, err
 	}
 	return out.Results, nil
 }
 
 // EnsureBatch fans one source against many destinations.
-func (c *Client) EnsureBatch(ctx context.Context, mesh string, src extmesh.Coord, dests []extmesh.Coord, model string, strategy *extmesh.Strategy) ([]Assurance, error) {
-	req := map[string]any{"src": src, "dests": dests, "model": model}
-	if strategy != nil {
-		req["strategy"] = strategy
-	}
-	var out struct {
-		Results []Assurance `json:"results"`
-	}
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/ensure/batch"), req, true, &out); err != nil {
+func (e Endpoints) EnsureBatch(ctx context.Context, mesh string, src extmesh.Coord, dests []extmesh.Coord, model string, strategy *extmesh.Strategy) ([]Assurance, error) {
+	req := wire.FanRequest{Src: src, Dests: dests, Model: model, Strategy: strategy}
+	out, err := query[wire.Results[Assurance]](ctx, e, mesh, "/ensure/batch", req)
+	if err != nil {
 		return nil, err
 	}
 	return out.Results, nil
@@ -264,12 +188,9 @@ func (c *Client) EnsureBatch(ctx context.Context, mesh string, src extmesh.Coord
 
 // HasMinimalPathBatch answers existence for many destinations from one
 // reachability sweep.
-func (c *Client) HasMinimalPathBatch(ctx context.Context, mesh string, src extmesh.Coord, dests []extmesh.Coord) ([]bool, error) {
-	req := map[string]any{"src": src, "dests": dests}
-	var out struct {
-		Results []bool `json:"results"`
-	}
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/has-minimal-path/batch"), req, true, &out); err != nil {
+func (e Endpoints) HasMinimalPathBatch(ctx context.Context, mesh string, src extmesh.Coord, dests []extmesh.Coord) ([]bool, error) {
+	out, err := query[wire.Results[bool]](ctx, e, mesh, "/has-minimal-path/batch", wire.FanRequest{Src: src, Dests: dests})
+	if err != nil {
 		return nil, err
 	}
 	return out.Results, nil
@@ -280,43 +201,17 @@ func (c *Client) HasMinimalPathBatch(ctx context.Context, mesh string, src extme
 // ApplyFaults applies a fault mutation. Not idempotent: replaying a
 // batch can double-apply against concurrent mutators, so ambiguous
 // failures surface to the caller (429s and dial failures still retry).
-func (c *Client) ApplyFaults(ctx context.Context, mesh string, req FaultsRequest) (*FaultsResult, error) {
-	var out FaultsResult
-	if err := c.call(ctx, http.MethodPost, meshPath(mesh, "/faults"), req, false, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+func (e Endpoints) ApplyFaults(ctx context.Context, mesh string, req FaultsRequest) (*FaultsResult, error) {
+	return callFor[FaultsResult](ctx, e.write, http.MethodPost, meshPath(mesh, "/faults"), req, false)
 }
 
 // InjectSpec applies an inject-schedule spec ("random:rate=0.01",
 // "fail@0:3,4;recover@9:3,4", ...) with the given horizon and seed.
-func (c *Client) InjectSpec(ctx context.Context, mesh, spec string, cycles int, seed int64) (*FaultsResult, error) {
-	return c.ApplyFaults(ctx, mesh, FaultsRequest{Spec: spec, Cycles: cycles, Seed: seed})
+func (e Endpoints) InjectSpec(ctx context.Context, mesh, spec string, cycles int, seed int64) (*FaultsResult, error) {
+	return e.ApplyFaults(ctx, mesh, FaultsRequest{Spec: spec, Cycles: cycles, Seed: seed})
 }
 
 // Stats fetches the per-mesh observability view.
-func (c *Client) Stats(ctx context.Context, mesh string) (*Stats, error) {
-	var out Stats
-	if err := c.call(ctx, http.MethodGet, meshPath(mesh, "/stats"), nil, true, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Ready polls /readyz; true once the server has finished recovery.
-func (c *Client) Ready(ctx context.Context) (bool, error) {
-	resp, err := c.Do(ctx, http.MethodGet, "/readyz", nil, true)
-	if err != nil {
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusServiceUnavailable {
-			return false, nil
-		}
-		return false, err
-	}
-	return resp.Status == http.StatusOK, nil
-}
-
-// Healthy polls /healthz liveness.
-func (c *Client) Healthy(ctx context.Context) error {
-	return c.call(ctx, http.MethodGet, "/healthz", nil, true, nil)
+func (e Endpoints) Stats(ctx context.Context, mesh string) (*Stats, error) {
+	return callFor[Stats](ctx, e.read, http.MethodGet, meshPath(mesh, "/stats"), nil, true)
 }

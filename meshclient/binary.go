@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -85,23 +84,6 @@ func (c *BinaryClient) Close() error {
 	return nil
 }
 
-// statusToHTTP maps wire statuses onto the HTTP statuses the JSON
-// endpoints answer with, so both transports surface the same *APIError.
-func statusToHTTP(status uint8) int {
-	switch status {
-	case wire.StatusBadRequest:
-		return http.StatusBadRequest
-	case wire.StatusNotFound:
-		return http.StatusNotFound
-	case wire.StatusUnprocessable:
-		return http.StatusUnprocessableEntity
-	case wire.StatusSaturated:
-		return http.StatusTooManyRequests
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // roundTrip performs one request/response exchange with reconnect
 // retries. A server error status is returned as *APIError and never
 // retried except saturation (shed before any work, like HTTP 429).
@@ -124,7 +106,7 @@ func (c *BinaryClient) roundTrip(ctx context.Context, req *wire.Request) (*wire.
 			if resp.Status == wire.StatusOK {
 				return resp, nil
 			}
-			apiErr := &APIError{Status: statusToHTTP(resp.Status), Message: resp.Err}
+			apiErr := &APIError{Status: wire.HTTPStatus(resp.Status), Message: resp.Err}
 			if resp.Status != wire.StatusSaturated || attempt == maxAttempts-1 {
 				return resp, apiErr
 			}
@@ -176,55 +158,40 @@ func (c *BinaryClient) exchangeLocked(req *wire.Request) (*wire.Response, error)
 	return resp, nil
 }
 
-// binFlags converts a Query's model and path options to wire flags.
-func binFlags(model string, omitPath bool) (uint8, error) {
-	var flags uint8
-	switch model {
-	case "", "blocks":
-	case "mcc":
-		flags |= wire.FlagMCC
-	default:
-		return 0, fmt.Errorf("meshclient: unknown fault model %q (want blocks or mcc)", model)
+// flags converts a model name and the path option to request flags,
+// parsing the model exactly as the server's JSON plane does.
+func flags(model string, omitPaths bool) (uint8, error) {
+	f, err := wire.ParseModel(model)
+	if err != nil {
+		return 0, fmt.Errorf("meshclient: %w", err)
 	}
-	if omitPath {
-		flags |= wire.FlagOmitPaths
+	if omitPaths {
+		f |= wire.FlagOmitPaths
 	}
-	return flags, nil
+	return f, nil
 }
 
-// verdictString names a wire verdict byte exactly like the server's
-// JSON encoding of the same verdict.
-func verdictString(v uint8) string {
-	switch v {
-	case 1:
-		return "minimal"
-	case 2:
-		return "sub-minimal"
-	default:
-		return "unknown"
-	}
-}
-
-// checkQuery rejects options the binary protocol cannot express.
-func checkQuery(q Query) error {
+// single performs a single-pair op, rejecting options the binary
+// protocol cannot express.
+func (c *BinaryClient) single(ctx context.Context, op uint8, mesh string, q Query) (*wire.Response, error) {
 	if q.Strategy != nil {
-		return fmt.Errorf("meshclient: the binary protocol supports the server's default strategy only")
+		return nil, fmt.Errorf("meshclient: the binary protocol supports the server's default strategy only")
 	}
-	return nil
+	f, err := flags(q.Model, q.OmitPath)
+	if err != nil {
+		return nil, err
+	}
+	return c.roundTrip(ctx, &wire.Request{Op: op, Flags: f, Mesh: mesh, Src: q.Src, Dst: q.Dst})
+}
+
+// assurance names a wire verdict exactly like the JSON plane does.
+func assurance(e wire.EnsureResult) Assurance {
+	return Assurance{Verdict: extmesh.Verdict(e.Verdict).String(), Via: e.Via, Hops: -1}
 }
 
 // Route asks for a Wu-protocol route over the binary transport.
 func (c *BinaryClient) Route(ctx context.Context, mesh string, q Query) (*RouteResult, error) {
-	if err := checkQuery(q); err != nil {
-		return nil, err
-	}
-	flags, err := binFlags(q.Model, q.OmitPath)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(ctx, &wire.Request{
-		Op: wire.OpRoute, Flags: flags, Mesh: mesh, Src: q.Src, Dst: q.Dst,
-	})
+	resp, err := c.single(ctx, wire.OpRoute, mesh, q)
 	if err != nil {
 		return nil, err
 	}
@@ -233,16 +200,7 @@ func (c *BinaryClient) Route(ctx context.Context, mesh string, q Query) (*RouteR
 
 // Safe evaluates the Theorem-1 condition over the binary transport.
 func (c *BinaryClient) Safe(ctx context.Context, mesh string, q Query) (bool, error) {
-	if err := checkQuery(q); err != nil {
-		return false, err
-	}
-	flags, err := binFlags(q.Model, false)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.roundTrip(ctx, &wire.Request{
-		Op: wire.OpSafe, Flags: flags, Mesh: mesh, Src: q.Src, Dst: q.Dst,
-	})
+	resp, err := c.single(ctx, wire.OpSafe, mesh, q)
 	if err != nil {
 		return false, err
 	}
@@ -251,35 +209,18 @@ func (c *BinaryClient) Safe(ctx context.Context, mesh string, q Query) (bool, er
 
 // Ensure runs the default strategy cascade over the binary transport.
 func (c *BinaryClient) Ensure(ctx context.Context, mesh string, q Query) (*Assurance, error) {
-	if err := checkQuery(q); err != nil {
-		return nil, err
-	}
-	flags, err := binFlags(q.Model, false)
+	resp, err := c.single(ctx, wire.OpEnsure, mesh, q)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, &wire.Request{
-		Op: wire.OpEnsure, Flags: flags, Mesh: mesh, Src: q.Src, Dst: q.Dst,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Assurance{
-		Verdict: verdictString(resp.Ensure.Verdict),
-		Via:     resp.Ensure.Via,
-		Hops:    -1,
-	}, nil
+	a := assurance(resp.Ensure)
+	return &a, nil
 }
 
 // HasMinimalPath asks the exact existence question over the binary
 // transport.
 func (c *BinaryClient) HasMinimalPath(ctx context.Context, mesh string, q Query) (bool, error) {
-	if err := checkQuery(q); err != nil {
-		return false, err
-	}
-	resp, err := c.roundTrip(ctx, &wire.Request{
-		Op: wire.OpHasMinimalPath, Mesh: mesh, Src: q.Src, Dst: q.Dst,
-	})
+	resp, err := c.single(ctx, wire.OpHasMinimalPath, mesh, q)
 	if err != nil {
 		return false, err
 	}
@@ -288,7 +229,7 @@ func (c *BinaryClient) HasMinimalPath(ctx context.Context, mesh string, q Query)
 
 // RouteBatch routes many pairs in one frame.
 func (c *BinaryClient) RouteBatch(ctx context.Context, mesh string, pairs []Pair, model string, omitPaths bool) ([]BatchRouteResult, error) {
-	flags, err := binFlags(model, omitPaths)
+	f, err := flags(model, omitPaths)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +238,7 @@ func (c *BinaryClient) RouteBatch(ctx context.Context, mesh string, pairs []Pair
 		flat = append(flat, p.Src, p.Dst)
 	}
 	resp, err := c.roundTrip(ctx, &wire.Request{
-		Op: wire.OpRouteBatch, Flags: flags, Mesh: mesh, Pairs: flat,
+		Op: wire.OpRouteBatch, Flags: f, Mesh: mesh, Pairs: flat,
 	})
 	if err != nil {
 		return nil, err
@@ -328,19 +269,19 @@ func (c *BinaryClient) HasMinimalPathBatch(ctx context.Context, mesh string, src
 // EnsureBatch fans one source against many destinations with the
 // server's default strategy.
 func (c *BinaryClient) EnsureBatch(ctx context.Context, mesh string, src extmesh.Coord, dests []extmesh.Coord, model string) ([]Assurance, error) {
-	flags, err := binFlags(model, false)
+	f, err := flags(model, false)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := c.roundTrip(ctx, &wire.Request{
-		Op: wire.OpEnsureBatch, Flags: flags, Mesh: mesh, Src: src, Dests: dests,
+		Op: wire.OpEnsureBatch, Flags: f, Mesh: mesh, Src: src, Dests: dests,
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Assurance, len(resp.Ensures))
 	for i, e := range resp.Ensures {
-		out[i] = Assurance{Verdict: verdictString(e.Verdict), Via: e.Via, Hops: -1}
+		out[i] = assurance(e)
 	}
 	return out, nil
 }

@@ -28,6 +28,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"extmesh/internal/wire"
 )
 
 // Options configures a Client. The zero value (plus BaseURL) gives
@@ -148,6 +150,8 @@ type Counts struct {
 // concurrent use; one Client shares one connection pool, one breaker
 // and one jitter stream.
 type Client struct {
+	Endpoints
+
 	base string
 	http *http.Client
 	opts Options
@@ -194,6 +198,7 @@ func New(opts Options) (*Client, error) {
 		opts: opts,
 		rng:  rand.New(rand.NewSource(opts.RetrySeed)),
 	}
+	c.Endpoints = Endpoints{read: c.Do, write: c.Do}
 	c.breaker.threshold = opts.BreakerThreshold
 	c.breaker.cooldown = opts.BreakerCooldown
 	// The breaker's half-open horizon is jittered from its own seeded
@@ -253,6 +258,7 @@ type Response struct {
 	ErrorCode string
 
 	retryAfter string // Retry-After header, if any
+	errMsg     string // the error message of a non-2xx body
 }
 
 // maxResponseBytes bounds a response body read, mirroring the server's
@@ -301,7 +307,7 @@ func (c *Client) DoWithHeader(ctx context.Context, method, path string, body []b
 		if err != nil {
 			lastErr = err
 		} else {
-			apiErr := &APIError{Status: resp.Status, Message: errorMessage(resp.Body), Code: resp.ErrorCode}
+			apiErr := &APIError{Status: resp.Status, Message: resp.errMsg, Code: resp.ErrorCode}
 			lastErr = apiErr
 			if !retryable || attempt == maxAttempts-1 {
 				return resp, apiErr
@@ -319,6 +325,24 @@ func (c *Client) DoWithHeader(ctx context.Context, method, path string, body []b
 		}
 	}
 	return nil, lastErr
+}
+
+// Ready polls /readyz; true once the server has finished recovery.
+func (c *Client) Ready(ctx context.Context) (bool, error) {
+	resp, err := c.Do(ctx, http.MethodGet, "/readyz", nil, true)
+	if err != nil {
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && apiErr.Status == http.StatusServiceUnavailable {
+			return false, nil
+		}
+		return false, err
+	}
+	return resp.Status == http.StatusOK, nil
+}
+
+// Healthy polls /healthz liveness.
+func (c *Client) Healthy(ctx context.Context) error {
+	return call(ctx, c.Do, http.MethodGet, "/healthz", nil, true, nil)
 }
 
 // attempt runs one HTTP exchange and classifies the outcome.
@@ -380,7 +404,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		}
 	}
 	if resp.Status >= 300 {
-		resp.ErrorCode = errorCode(data)
+		resp.errMsg, resp.ErrorCode = parseError(data)
 	}
 	switch {
 	case resp.Status < 300:
@@ -460,31 +484,21 @@ func isDialError(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-// errorMessage extracts the server's {"error": ...} body, falling back
-// to the raw text.
-func errorMessage(body []byte) string {
-	var e struct {
-		Error string `json:"error"`
+// parseError extracts the message and code of the server's error body,
+// falling back to the raw text for the message.
+func parseError(body []byte) (msg, code string) {
+	var e wire.ErrorBody
+	if json.Unmarshal(body, &e) != nil {
+		e = wire.ErrorBody{}
 	}
-	if err := json.Unmarshal(body, &e); err == nil && e.Error != "" {
-		return e.Error
+	if e.Error != "" {
+		return e.Error, e.Code
 	}
-	s := strings.TrimSpace(string(body))
-	if len(s) > 200 {
-		s = s[:200] + "..."
+	msg = strings.TrimSpace(string(body))
+	if len(msg) > 200 {
+		msg = msg[:200] + "..."
 	}
-	return s
-}
-
-// errorCode extracts the server's {"code": ...} discriminator, if any.
-func errorCode(body []byte) string {
-	var e struct {
-		Code string `json:"code"`
-	}
-	if err := json.Unmarshal(body, &e); err == nil {
-		return e.Code
-	}
-	return ""
+	return msg, e.Code
 }
 
 // breaker is a consecutive-failure circuit breaker: threshold failures

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
-
-	"extmesh"
 )
 
 // ClusterOptions configures a ClusterClient over one primary and any
@@ -85,6 +83,8 @@ func (n *clusterNode) evicted(now time.Time) bool {
 // strongest primary claimant (highest epoch, then node ID), and resends
 // the write once if the original failure guarantees it never applied.
 type ClusterClient struct {
+	Endpoints // reads via DoRead, writes via DoWrite
+
 	nodes      []*clusterNode // [0] = configured primary, then replicas
 	primaryIdx atomic.Int64
 	opts       ClusterOptions
@@ -111,6 +111,12 @@ func NewCluster(opts ClusterOptions) (*ClusterClient, error) {
 		opts.EvictCooldown = 2 * time.Second
 	}
 	c := &ClusterClient{opts: opts}
+	c.Endpoints = Endpoints{
+		read: func(ctx context.Context, method, path string, body []byte, _ bool) (*Response, error) {
+			return c.DoRead(ctx, method, path, body) // every read is idempotent
+		},
+		write: c.DoWrite,
+	}
 	for _, addr := range append([]string{opts.Primary}, opts.Replicas...) {
 		o := opts.Node
 		o.BaseURL = addr
@@ -404,160 +410,6 @@ func (c *ClusterClient) DoRead(ctx context.Context, method, path string, body []
 		return lastResp, lastErr
 	}
 	return resp, err
-}
-
-// call mirrors Client.call over the cluster read/write router.
-func (c *ClusterClient) call(ctx context.Context, write bool, method, path string, req any, idempotent bool, out any) error {
-	var body []byte
-	if req != nil {
-		var err error
-		body, err = json.Marshal(req)
-		if err != nil {
-			return fmt.Errorf("meshclient: encode request: %w", err)
-		}
-	}
-	var resp *Response
-	var err error
-	if write {
-		resp, err = c.DoWrite(ctx, method, path, body, idempotent)
-	} else {
-		resp, err = c.DoRead(ctx, method, path, body)
-	}
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(resp.Body, out); err != nil {
-		return fmt.Errorf("meshclient: decode %s %s response: %w", method, path, err)
-	}
-	return nil
-}
-
-// --- writes (primary only) -------------------------------------------
-
-// CreateMesh registers a named mesh on the primary.
-func (c *ClusterClient) CreateMesh(ctx context.Context, name string, width, height int, faults []extmesh.Coord) (*MeshInfo, error) {
-	req := map[string]any{"name": name, "width": width, "height": height, "faults": faults}
-	var info MeshInfo
-	if err := c.call(ctx, true, http.MethodPost, "/v1/mesh", req, false, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
-}
-
-// UploadMesh creates or replaces a mesh on the primary.
-func (c *ClusterClient) UploadMesh(ctx context.Context, name string, blob []byte) (*MeshInfo, error) {
-	resp, err := c.DoWrite(ctx, http.MethodPut, meshPath(name, ""), blob, true)
-	if err != nil {
-		return nil, err
-	}
-	var info MeshInfo
-	if err := json.Unmarshal(resp.Body, &info); err != nil {
-		return nil, fmt.Errorf("meshclient: decode upload response: %w", err)
-	}
-	return &info, nil
-}
-
-// DeleteMesh removes a mesh via the primary.
-func (c *ClusterClient) DeleteMesh(ctx context.Context, name string) error {
-	return c.call(ctx, true, http.MethodDelete, meshPath(name, ""), nil, true, nil)
-}
-
-// ApplyFaults applies a fault mutation on the primary.
-func (c *ClusterClient) ApplyFaults(ctx context.Context, mesh string, req FaultsRequest) (*FaultsResult, error) {
-	var out FaultsResult
-	if err := c.call(ctx, true, http.MethodPost, meshPath(mesh, "/faults"), req, false, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// --- reads (replicas, primary fallback) ------------------------------
-
-// GetMesh exports a mesh.
-func (c *ClusterClient) GetMesh(ctx context.Context, name string) (*MeshState, error) {
-	var st MeshState
-	if err := c.call(ctx, false, http.MethodGet, meshPath(name, ""), nil, true, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// ListMeshes returns the registered mesh summaries.
-func (c *ClusterClient) ListMeshes(ctx context.Context) ([]MeshInfo, error) {
-	var out struct {
-		Meshes []MeshInfo `json:"meshes"`
-	}
-	if err := c.call(ctx, false, http.MethodGet, "/v1/mesh", nil, true, &out); err != nil {
-		return nil, err
-	}
-	return out.Meshes, nil
-}
-
-// Route asks for a Wu-protocol route.
-func (c *ClusterClient) Route(ctx context.Context, mesh string, q Query) (*RouteResult, error) {
-	var out RouteResult
-	if err := c.call(ctx, false, http.MethodPost, meshPath(mesh, "/route"), q, true, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Safe evaluates the paper's Theorem-1 sufficient condition.
-func (c *ClusterClient) Safe(ctx context.Context, mesh string, q Query) (bool, error) {
-	var out struct {
-		Safe bool `json:"safe"`
-	}
-	if err := c.call(ctx, false, http.MethodPost, meshPath(mesh, "/safe"), q, true, &out); err != nil {
-		return false, err
-	}
-	return out.Safe, nil
-}
-
-// Ensure runs the strategy cascade and returns its verdict.
-func (c *ClusterClient) Ensure(ctx context.Context, mesh string, q Query) (*Assurance, error) {
-	var out Assurance
-	if err := c.call(ctx, false, http.MethodPost, meshPath(mesh, "/ensure"), q, true, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// HasMinimalPath asks the exact existence question.
-func (c *ClusterClient) HasMinimalPath(ctx context.Context, mesh string, q Query) (bool, error) {
-	var out struct {
-		Exists bool `json:"exists"`
-	}
-	if err := c.call(ctx, false, http.MethodPost, meshPath(mesh, "/has-minimal-path"), q, true, &out); err != nil {
-		return false, err
-	}
-	return out.Exists, nil
-}
-
-// RouteBatch routes many pairs in one request.
-func (c *ClusterClient) RouteBatch(ctx context.Context, mesh string, pairs []Pair, model string, omitPaths bool) ([]BatchRouteResult, error) {
-	req := map[string]any{"pairs": pairs, "model": model, "omit_paths": omitPaths}
-	var out struct {
-		Results []BatchRouteResult `json:"results"`
-	}
-	if err := c.call(ctx, false, http.MethodPost, meshPath(mesh, "/route/batch"), req, true, &out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
-}
-
-// HasMinimalPathBatch answers existence for many destinations.
-func (c *ClusterClient) HasMinimalPathBatch(ctx context.Context, mesh string, src extmesh.Coord, dests []extmesh.Coord) ([]bool, error) {
-	req := map[string]any{"src": src, "dests": dests}
-	var out struct {
-		Results []bool `json:"results"`
-	}
-	if err := c.call(ctx, false, http.MethodPost, meshPath(mesh, "/has-minimal-path/batch"), req, true, &out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
 }
 
 // Ready reports whether the current primary has finished recovery.

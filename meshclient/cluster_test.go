@@ -342,7 +342,10 @@ func TestClusterAgainstRealReplication(t *testing.T) {
 	rHTTP := httptest.NewServer(replica.Handler())
 	defer rHTTP.Close()
 
-	opts := ClusterOptions{Primary: pHTTP.URL, Replicas: []string{rHTTP.URL}, Node: fastOpts("")}
+	// Stale answers among the reads below may evict the replica; a short
+	// cooldown lets the test wait that out once it has caught up.
+	opts := ClusterOptions{Primary: pHTTP.URL, Replicas: []string{rHTTP.URL}, Node: fastOpts(""),
+		EvictCooldown: 50 * time.Millisecond}
 	c := newCluster(t, opts)
 	cctx := context.Background()
 
@@ -380,6 +383,12 @@ func TestClusterAgainstRealReplication(t *testing.T) {
 	for replica.JournalSeq() != primary.JournalSeq() {
 		if time.Now().After(deadline) {
 			t.Fatal("replica never caught up")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for c.nodes[1].evicted(time.Now()) {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never left eviction")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
