@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages with lock-guarded or worker-pool concurrency that the race
 # detector must cover.
-RACE_PKGS = . ./internal/wang ./internal/traffic ./internal/safety ./internal/sim ./internal/wormhole ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved ./cmd/meshstress
+RACE_PKGS = . ./internal/wang ./internal/traffic ./internal/safety ./internal/sim ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved ./cmd/meshstress
 
 .PHONY: all build test vet fmt race bench bench-smoke bench-diff perf-smoke smoke chaos rel-smoke loc verify clean
 
@@ -27,15 +27,17 @@ fmt:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# bench regenerates BENCH_routing.json on the paper-scale 200x200 mesh,
-# including the serve/* HTTP round-trip measurements.
+# bench regenerates BENCH_routing.json on the paper-scale 200x200 mesh:
+# the query, scenario and route-kernel rows at each fault count, plus the
+# journal and reliability rows. The served planes are measured end to
+# end by perfbench (perf-smoke below), not here.
 bench:
 	$(GO) run ./cmd/meshbench -out BENCH_routing.json
 
 # bench-smoke runs every meshbench measurement — including the
-# reach_bitset/* kernel comparison, the route_kernel/* rows and the
-# serve_binary/* wire-protocol rows — at a tiny benchtime on a small
-# mesh, then re-runs the same workload diffed against the first pass.
+# reach_bitset/* kernel comparison and the route_kernel/* rows — at a
+# tiny benchtime on a small mesh, then re-runs the same workload
+# diffed against the first pass.
 # The wide tolerance means only a catastrophic slowdown (or a broken
 # measured path) fails; the point is that the -baseline plumbing itself
 # is exercised on every CI run, not to gate on noisy tiny-benchtime

@@ -8,17 +8,14 @@ import (
 	"extmesh/internal/core"
 	"extmesh/internal/dynamic"
 	"extmesh/internal/fault"
-	"extmesh/internal/hypercube"
 	"extmesh/internal/infocost"
 	"extmesh/internal/mesh"
-	"extmesh/internal/mesh3"
 	"extmesh/internal/route"
 	"extmesh/internal/safety"
 	"extmesh/internal/sim"
 	"extmesh/internal/simnet"
 	"extmesh/internal/traffic"
 	"extmesh/internal/wang"
-	"extmesh/internal/wormhole"
 )
 
 // The per-figure benchmarks regenerate each experiment of the paper at
@@ -393,27 +390,6 @@ func BenchmarkFormationProtocol(b *testing.B) {
 	}
 }
 
-func BenchmarkMesh3Existence(b *testing.B) {
-	m := mesh3.Mesh{Width: 30, Height: 30, Depth: 30}
-	rng := rand.New(rand.NewSource(9))
-	faults, err := mesh3.RandomFaults(m, 200, rng, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc, err := mesh3.NewScenario(m, faults)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocked := mesh3.BuildBlocks(sc).BlockedGrid()
-	s := mesh3.Coord{X: 0, Y: 0, Z: 0}
-	d := mesh3.Coord{X: 29, Y: 29, Z: 29}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = mesh3.MinimalPathExists(m, s, d, blocked)
-	}
-}
-
 func BenchmarkInfoCostMeasure(b *testing.B) {
 	sc, m := benchScenario(b, 200, 150)
 	bs := fault.BuildBlocks(sc)
@@ -422,60 +398,6 @@ func BenchmarkInfoCostMeasure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = infocost.Measure(m, blocked, bs.Blocks)
-	}
-}
-
-func BenchmarkWormholeClassVCs(b *testing.B) {
-	m := mesh.Mesh{Width: 24, Height: 24}
-	rng := rand.New(rand.NewSource(14))
-	faults, err := fault.RandomFaults(m, 18, rng, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc, err := fault.NewScenario(m, faults)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocked := fault.BuildBlocks(sc).BlockedGrid()
-	cfg := wormhole.Config{
-		M:              m,
-		Blocked:        blocked,
-		Route:          traffic.WuRouting(route.NewRouter(m, blocked)),
-		FlitsPerPacket: 8,
-		BufferFlits:    2,
-		ClassVCs:       true,
-		InjectionRate:  0.02,
-		Cycles:         100,
-		Warmup:         20,
-		Seed:           1,
-		GuaranteedOnly: true,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wormhole.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHypercubeLevels(b *testing.B) {
-	rng := rand.New(rand.NewSource(33))
-	var faults []int
-	seen := make(map[int]bool)
-	for len(faults) < 60 {
-		f := rng.Intn(1 << 10)
-		if !seen[f] {
-			seen[f] = true
-			faults = append(faults, f)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hypercube.New(10, faults); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -24,17 +24,11 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -52,10 +46,7 @@ import (
 	"extmesh/internal/metrics"
 	"extmesh/internal/reliability"
 	"extmesh/internal/route"
-	"extmesh/internal/serve"
 	"extmesh/internal/wang"
-	"extmesh/internal/wire"
-	"extmesh/meshclient"
 )
 
 // Report is the top-level JSON document.
@@ -78,9 +69,7 @@ type Scenario struct {
 	Results []Result `json:"results"`
 }
 
-// Result is one measured operation. P50Ns/P99Ns are per-request
-// latency percentiles, reported only by the serve/* HTTP measurements
-// where tail latency is the interesting number.
+// Result is one measured operation.
 type Result struct {
 	Name          string  `json:"name"`
 	NsPerOp       float64 `json:"ns_per_op"`
@@ -88,8 +77,6 @@ type Result struct {
 	AllocsPerOp   int64   `json:"allocs_per_op"`
 	QueriesPerOp  int     `json:"queries_per_op"`
 	QueriesPerSec float64 `json:"queries_per_sec"`
-	P50Ns         float64 `json:"p50_ns,omitempty"`
-	P99Ns         float64 `json:"p99_ns,omitempty"`
 }
 
 func main() {
@@ -582,16 +569,6 @@ func measureScenario(out io.Writer, w, h, k, nDests int, seed int64, benchtime t
 			_, _ = r.NextHop(src, mesh.Coord{X: m.Width - 1, Y: m.Height - 1})
 		}
 	})
-
-	// The served query plane: the same operations through meshserved's
-	// HTTP surface, measuring what a network client actually sees —
-	// JSON decode, snapshot lookup, query, JSON encode — with
-	// per-request latency percentiles.
-	serveResults, err := measureServe(out, w, h, faults, src, destList, pairs, benchtime)
-	if err != nil {
-		return Scenario{}, err
-	}
-	sc.Results = append(sc.Results, serveResults...)
 	return sc, nil
 }
 
@@ -647,189 +624,6 @@ func boolSweepReach(m mesh.Mesh, s mesh.Coord, blocked []bool) []bool {
 		}
 	}
 	return ok
-}
-
-// measureServe stands up an in-process meshserved handler over the
-// scenario's mesh and times HTTP round trips against it.
-func measureServe(out io.Writer, w, h int, faults []extmesh.Coord, src extmesh.Coord, destList []extmesh.Coord, pairs []extmesh.Pair, benchtime time.Duration) ([]Result, error) {
-	d, err := extmesh.NewDynamic(w, h)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range faults {
-		if err := d.AddFault(c); err != nil {
-			return nil, err
-		}
-	}
-	srv := serve.New(serve.Options{Metrics: metrics.NewRegistry()})
-	if err := srv.Meshes().Create("bench", d); err != nil {
-		return nil, err
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := &http.Client{Timeout: 30 * time.Second}
-	// Warm the snapshot and reach cache so the measurements see the
-	// steady state, mirroring the library-level cached numbers.
-	warm, _ := json.Marshal(map[string]any{"src": src, "dst": destList[0]})
-	if resp, err := client.Post(ts.URL+"/v1/mesh/bench/route", "application/json", strings.NewReader(string(warm))); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-
-	singleBodies := make([][]byte, len(destList))
-	for i, dst := range destList {
-		b, err := json.Marshal(wire.Query{Src: src, Dst: dst, OmitPath: true})
-		if err != nil {
-			return nil, err
-		}
-		singleBodies[i] = b
-	}
-	batchPairs := make([]wire.Pair, len(pairs))
-	for i, p := range pairs {
-		batchPairs[i] = wire.Pair(p)
-	}
-	routeBatchBody, err := json.Marshal(wire.RouteBatchRequest{Pairs: batchPairs, OmitPaths: true})
-	if err != nil {
-		return nil, err
-	}
-	fanBody, err := json.Marshal(wire.FanRequest{Src: src, Dests: destList})
-	if err != nil {
-		return nil, err
-	}
-
-	var results []Result
-	measure := func(name, path string, bodies [][]byte, queriesPerOp int) error {
-		url := ts.URL + "/v1/mesh/bench" + path
-		lats := make([]time.Duration, 0, 8192)
-		deadline := time.Now().Add(benchtime)
-		for i := 0; time.Now().Before(deadline); i++ {
-			body := bodies[i%len(bodies)]
-			t0 := time.Now()
-			resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			// 422 is the served "no minimal path" verdict — a legitimate
-			// answer at high fault densities, measured like any other.
-			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusUnprocessableEntity {
-				return fmt.Errorf("%s: status %s", path, resp.Status)
-			}
-			lats = append(lats, time.Since(t0))
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		var total time.Duration
-		for _, l := range lats {
-			total += l
-		}
-		res := Result{
-			Name:         name,
-			NsPerOp:      float64(total.Nanoseconds()) / float64(len(lats)),
-			QueriesPerOp: queriesPerOp,
-			P50Ns:        float64(lats[len(lats)/2].Nanoseconds()),
-			P99Ns:        float64(lats[len(lats)*99/100].Nanoseconds()),
-		}
-		if res.NsPerOp > 0 {
-			res.QueriesPerSec = float64(queriesPerOp) * 1e9 / res.NsPerOp
-		}
-		results = append(results, res)
-		fmt.Fprintf(out, "  %-28s %12.1f ns/op  p50=%.0fns p99=%.0fns %21.0f q/s\n",
-			name, res.NsPerOp, res.P50Ns, res.P99Ns, res.QueriesPerSec)
-		return nil
-	}
-
-	if err := measure("serve/route_single", "/route", singleBodies, 1); err != nil {
-		return nil, err
-	}
-	if err := measure("serve/route_batch", "/route/batch", [][]byte{routeBatchBody}, len(batchPairs)); err != nil {
-		return nil, err
-	}
-	if err := measure("serve/has_minimal_path_batch", "/has-minimal-path/batch", [][]byte{fanBody}, len(destList)); err != nil {
-		return nil, err
-	}
-
-	// The same query plane over the binary wire protocol: one
-	// persistent connection, length-prefixed frames, no HTTP or JSON.
-	// Columns line up with the serve/* rows above so the per-request
-	// transport tax is read directly.
-	bl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	bctx, bcancel := context.WithCancel(context.Background())
-	bdone := make(chan error, 1)
-	go func() { bdone <- srv.ServeBinary(bctx, bl, time.Second) }()
-	defer func() {
-		bcancel()
-		<-bdone
-	}()
-	bc, err := meshclient.NewBinary(meshclient.BinaryOptions{Addr: bl.Addr().String()})
-	if err != nil {
-		return nil, err
-	}
-	defer bc.Close()
-	ctx := context.Background()
-	clientPairs := make([]meshclient.Pair, len(pairs))
-	for i, p := range pairs {
-		clientPairs[i] = meshclient.Pair{Src: p.Src, Dst: p.Dst}
-	}
-	measureCall := func(name string, queriesPerOp int, call func(i int) error) error {
-		lats := make([]time.Duration, 0, 8192)
-		deadline := time.Now().Add(benchtime)
-		for i := 0; time.Now().Before(deadline); i++ {
-			t0 := time.Now()
-			if err := call(i); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			lats = append(lats, time.Since(t0))
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		var total time.Duration
-		for _, l := range lats {
-			total += l
-		}
-		res := Result{
-			Name:         name,
-			NsPerOp:      float64(total.Nanoseconds()) / float64(len(lats)),
-			QueriesPerOp: queriesPerOp,
-			P50Ns:        float64(lats[len(lats)/2].Nanoseconds()),
-			P99Ns:        float64(lats[len(lats)*99/100].Nanoseconds()),
-		}
-		if res.NsPerOp > 0 {
-			res.QueriesPerSec = float64(queriesPerOp) * 1e9 / res.NsPerOp
-		}
-		results = append(results, res)
-		fmt.Fprintf(out, "  %-28s %12.1f ns/op  p50=%.0fns p99=%.0fns %21.0f q/s\n",
-			name, res.NsPerOp, res.P50Ns, res.P99Ns, res.QueriesPerSec)
-		return nil
-	}
-	isNoPath := func(err error) bool {
-		var apiErr *meshclient.APIError
-		return errors.As(err, &apiErr) && apiErr.Status == http.StatusUnprocessableEntity
-	}
-	if err := measureCall("serve_binary/route_single", 1, func(i int) error {
-		_, err := bc.Route(ctx, "bench", meshclient.Query{Src: src, Dst: destList[i%len(destList)], OmitPath: true})
-		if err != nil && !isNoPath(err) {
-			return err
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := measureCall("serve_binary/route_batch", len(clientPairs), func(int) error {
-		_, err := bc.RouteBatch(ctx, "bench", clientPairs, "blocks", true)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := measureCall("serve_binary/has_minimal_path_batch", len(destList), func(int) error {
-		_, err := bc.HasMinimalPathBatch(ctx, "bench", src, destList)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // measureReliability times the Monte Carlo survivability engine: raw

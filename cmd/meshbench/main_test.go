@@ -37,34 +37,28 @@ func TestRunProducesValidJSON(t *testing.T) {
 		t.Fatalf("scenarios wrong: %+v", rep.Scenarios)
 	}
 	want := map[string]bool{
-		"scenario_setup/fresh":                false,
-		"scenario_setup/arena":                false,
-		"condition_eval/extension2":           false,
-		"condition_eval/strategy1":            false,
-		"has_minimal_path/single":             false,
-		"has_minimal_path/cached":             false,
-		"has_minimal_path/batch":              false,
-		"reach_bitset/bool_sweep":             false,
-		"reach_bitset/bitset":                 false,
-		"reach_bitset/from_bools":             false,
-		"ensure/single":                       false,
-		"ensure/batch":                        false,
-		"route/single":                        false,
-		"route/batch":                         false,
-		"oracle_route/uncached":               false,
-		"oracle_route/cached":                 false,
-		"serve/route_single":                  false,
-		"serve/route_batch":                   false,
-		"serve/has_minimal_path_batch":        false,
-		"serve_binary/route_single":           false,
-		"serve_binary/route_batch":            false,
-		"serve_binary/has_minimal_path_batch": false,
-		"route_kernel/next_hop":               false,
-		"route_kernel/route_into":             false,
-		"route_kernel/route_uniform":          false,
-		"route_kernel/batch_into":             false,
-		"route_kernel/oracle_into":            false,
-		"route_kernel/view_build":             false,
+		"scenario_setup/fresh":       false,
+		"scenario_setup/arena":       false,
+		"condition_eval/extension2":  false,
+		"condition_eval/strategy1":   false,
+		"has_minimal_path/single":    false,
+		"has_minimal_path/cached":    false,
+		"has_minimal_path/batch":     false,
+		"reach_bitset/bool_sweep":    false,
+		"reach_bitset/bitset":        false,
+		"reach_bitset/from_bools":    false,
+		"ensure/single":              false,
+		"ensure/batch":               false,
+		"route/single":               false,
+		"route/batch":                false,
+		"oracle_route/uncached":      false,
+		"oracle_route/cached":        false,
+		"route_kernel/next_hop":      false,
+		"route_kernel/route_into":    false,
+		"route_kernel/route_uniform": false,
+		"route_kernel/batch_into":    false,
+		"route_kernel/oracle_into":   false,
+		"route_kernel/view_build":    false,
 	}
 	for _, sc := range rep.Scenarios {
 		for name := range want {

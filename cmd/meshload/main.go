@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -34,7 +35,6 @@ import (
 	"extmesh/internal/mesh"
 	"extmesh/internal/route"
 	"extmesh/internal/traffic"
-	"extmesh/internal/wormhole"
 )
 
 func main() {
@@ -54,9 +54,6 @@ func run(args []string, out io.Writer) error {
 		warmup     = fs.Int("warmup", 100, "warmup cycles")
 		rates      = fs.String("rates", "0.01,0.02,0.05,0.1,0.2", "comma-separated injection rates")
 		capacity   = fs.Int("capacity", 0, "per-link queue capacity (0 = unbounded)")
-		wh         = fs.Bool("wormhole", false, "flit-level wormhole switching instead of store-and-forward")
-		flits      = fs.Int("flits", 8, "flits per packet (wormhole mode)")
-		buffers    = fs.Int("buffers", 2, "flit buffer depth per virtual channel (wormhole mode)")
 		faultSched = fs.String("fault-schedule", "", "online fault schedule (random:rate=R, bursts:count=B,size=S,spread=P, transient:rate=R,repair=C, or fail@CYCLE:X,Y;... events)")
 		faultRate  = fs.Float64("fault-rate", 0, "shorthand for -fault-schedule random:rate=R")
 		policyName = fs.String("policy", "reroute", "in-flight packet policy under online faults: reroute, degrade or drop")
@@ -126,17 +123,13 @@ func run(args []string, out io.Writer) error {
 		if fseed == 0 {
 			fseed = *seed + 1
 		}
-		if sched, err = inject.Parse(m, *warmup+*cycles, fseed, spec); err != nil {
+		if sched, err = inject.Parse(m, *warmup+*cycles, fseed, spec, math.MaxInt); err != nil {
 			return err
 		}
 	}
 
-	mode := "store-and-forward"
-	if *wh {
-		mode = fmt.Sprintf("wormhole (%d flits, %d-flit buffers, 4 class VCs)", *flits, *buffers)
-	}
-	fmt.Fprintf(out, "# %s traffic on a %dx%d mesh with %d faults (seed %d), %d+%d cycles, guaranteed pairs only\n",
-		mode, *n, *n, *k, *seed, *warmup, *cycles)
+	fmt.Fprintf(out, "# store-and-forward traffic on a %dx%d mesh with %d faults (seed %d), %d+%d cycles, guaranteed pairs only\n",
+		*n, *n, *k, *seed, *warmup, *cycles)
 	if online {
 		fmt.Fprintf(out, "# online faults: %s (%d events, fault seed %d), policy %v\n",
 			spec, len(sched), fseed, policy)
@@ -149,12 +142,6 @@ func run(args []string, out io.Writer) error {
 	}
 	for _, r := range routers {
 		for _, rate := range rateList {
-			var (
-				delivered, stranded, maxq int
-				latency, stretch, thr     float64
-				deadlocked                bool
-				ost                       traffic.OnlineStats
-			)
 			var on *traffic.Online
 			if online {
 				on = &traffic.Online{
@@ -164,70 +151,41 @@ func run(args []string, out io.Writer) error {
 					Rebuild:       r.rebuild,
 				}
 			}
-			if *wh {
-				cfg := wormhole.Config{
-					M:              m,
-					Blocked:        blocked,
-					Route:          r.fn,
-					FlitsPerPacket: *flits,
-					BufferFlits:    *buffers,
-					ClassVCs:       true,
-					InjectionRate:  rate,
-					Cycles:         *cycles,
-					Warmup:         *warmup,
-					Seed:           *seed,
-					GuaranteedOnly: true,
-				}
-				var st wormhole.Stats
-				var err error
-				if online {
-					st, ost, err = wormhole.RunOnline(cfg, on)
-				} else {
-					st, err = wormhole.Run(cfg)
-				}
-				if err != nil {
-					return err
-				}
-				delivered, stranded = st.Delivered, st.Undeliverable
-				latency, stretch, thr = st.AvgLatency, st.AvgStretch, st.Throughput
-				deadlocked = st.Deadlocked
+			cfg := traffic.Config{
+				M:              m,
+				Blocked:        blocked,
+				Route:          r.fn,
+				InjectionRate:  rate,
+				Cycles:         *cycles,
+				Warmup:         *warmup,
+				Seed:           *seed,
+				GuaranteedOnly: true,
+				QueueCapacity:  *capacity,
+			}
+			var (
+				st  traffic.Stats
+				ost traffic.OnlineStats
+				err error
+			)
+			if online {
+				st, ost, err = traffic.RunOnline(cfg, on)
 			} else {
-				cfg := traffic.Config{
-					M:              m,
-					Blocked:        blocked,
-					Route:          r.fn,
-					InjectionRate:  rate,
-					Cycles:         *cycles,
-					Warmup:         *warmup,
-					Seed:           *seed,
-					GuaranteedOnly: true,
-					QueueCapacity:  *capacity,
-				}
-				var st traffic.Stats
-				var err error
-				if online {
-					st, ost, err = traffic.RunOnline(cfg, on)
-				} else {
-					st, err = traffic.Run(cfg)
-				}
-				if err != nil {
-					return err
-				}
-				delivered, stranded, maxq = st.Delivered, st.Undeliverable, st.MaxQueue
-				latency, stretch, thr = st.AvgLatency, st.AvgStretch, st.Throughput
-				deadlocked = st.Deadlocked
+				st, err = traffic.Run(cfg)
+			}
+			if err != nil {
+				return err
 			}
 			note := ""
-			if deadlocked {
+			if st.Deadlocked {
 				note = "  DEADLOCK"
 			}
 			if online {
 				fmt.Fprintf(out, "%8s  %8.3f  %10d  %10d  %10.2f  %10.3f  %10d  %10.4f  %8d  %8d  %8d  %8d%s\n",
-					r.name, rate, delivered, stranded, latency, stretch, maxq, thr,
+					r.name, rate, st.Delivered, st.Undeliverable, st.AvgLatency, st.AvgStretch, st.MaxQueue, st.Throughput,
 					ost.Events, ost.Rerouted, ost.Degraded, ost.Dropped(), note)
 			} else {
 				fmt.Fprintf(out, "%8s  %8.3f  %10d  %10d  %10.2f  %10.3f  %10d  %10.4f%s\n",
-					r.name, rate, delivered, stranded, latency, stretch, maxq, thr, note)
+					r.name, rate, st.Delivered, st.Undeliverable, st.AvgLatency, st.AvgStretch, st.MaxQueue, st.Throughput, note)
 			}
 		}
 	}

@@ -49,18 +49,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunWormhole(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-n", "10", "-k", "4", "-cycles", "80", "-warmup", "20",
-		"-rates", "0.01", "-wormhole", "-flits", "4", "-buffers", "1"}, &sb)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(sb.String(), "wormhole (4 flits, 1-flit buffers") {
-		t.Errorf("missing wormhole header:\n%s", sb.String())
-	}
-}
-
 func TestRunOnlineFaults(t *testing.T) {
 	for _, policy := range []string{"reroute", "degrade", "drop"} {
 		var sb strings.Builder
@@ -75,18 +63,6 @@ func TestRunOnlineFaults(t *testing.T) {
 				t.Errorf("%s: output missing %q:\n%s", policy, want, out)
 			}
 		}
-	}
-}
-
-func TestRunOnlineFaultsWormhole(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-n", "12", "-k", "4", "-cycles", "80", "-warmup", "20",
-		"-rates", "0.02", "-wormhole", "-flits", "4", "-fault-rate", "0.02", "-policy", "degrade"}, &sb)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(sb.String(), "online faults: random:rate=0.02") {
-		t.Errorf("missing online header:\n%s", sb.String())
 	}
 }
 

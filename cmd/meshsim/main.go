@@ -14,13 +14,6 @@
 // The defaults reproduce the paper's setup: a 200x200 mesh, the source
 // at the center, destinations in the first-quadrant 100x100 submesh,
 // and fault counts 10..200.
-//
-// With -fault-rate or -fault-schedule, meshsim instead runs the online
-// fault-arrival sweep: a traffic simulation starts on a fault-free
-// mesh, faults arrive mid-run per the schedule, and one row per packet
-// policy (reroute, degrade, drop) reports how delivery degrades. Use
-// -policy to restrict the sweep to a single policy, and a modest -n
-// (for example 32): this mode simulates every cycle.
 package main
 
 import (
@@ -32,11 +25,7 @@ import (
 	"time"
 
 	"extmesh/internal/cli"
-	"extmesh/internal/inject"
-	"extmesh/internal/mesh"
-	"extmesh/internal/route"
 	"extmesh/internal/sim"
-	"extmesh/internal/traffic"
 )
 
 func main() {
@@ -49,40 +38,23 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("meshsim", flag.ContinueOnError)
 	var (
-		exp        = fs.String("exp", "all", "experiment to run: all, fig7, fig8, fig9, fig10, fig11, fig12")
-		n          = fs.Int("n", 200, "mesh side length")
-		configs    = fs.Int("configs", 20, "fault configurations per fault count")
-		dests      = fs.Int("dests", 50, "destinations per configuration")
-		seed       = fs.Int64("seed", 1, "PRNG seed")
-		maxFaults  = fs.Int("maxfaults", 200, "largest fault count")
-		step       = fs.Int("step", 10, "fault count step")
-		asJSON     = fs.Bool("json", false, "emit JSON instead of tables")
-		clusters   = fs.Int("clusters", 0, "cluster the faults around this many centers (0 = uniform, the paper's workload)")
-		spread     = fs.Int("spread", 4, "cluster spread (with -clusters)")
-		scaling    = fs.Bool("scaling", false, "run the mesh-size scalability sweep instead of the figures")
-		density    = fs.Float64("density", 0.005, "fault density for -scaling")
-		faultSched = fs.String("fault-schedule", "", "run the online fault-arrival sweep with this schedule (inject.Parse syntax)")
-		faultRate  = fs.Float64("fault-rate", 0, "shorthand for -fault-schedule random:rate=R")
-		policyName = fs.String("policy", "", "restrict the online sweep to one policy: reroute, degrade or drop (default all three)")
-		cycles     = fs.Int("cycles", 400, "measured cycles (online sweep)")
-		warmup     = fs.Int("warmup", 100, "warmup cycles (online sweep)")
-		injRate    = fs.Float64("inj", 0.05, "packet injection rate (online sweep)")
-		prof       = cli.ProfileFlags(fs)
-		timing     = fs.Bool("timing", false, "print the per-stage timing breakdown (setup/evaluation/aggregation)")
+		exp       = fs.String("exp", "all", "experiment to run: all, fig7, fig8, fig9, fig10, fig11, fig12")
+		n         = fs.Int("n", 200, "mesh side length")
+		configs   = fs.Int("configs", 20, "fault configurations per fault count")
+		dests     = fs.Int("dests", 50, "destinations per configuration")
+		seed      = fs.Int64("seed", 1, "PRNG seed")
+		maxFaults = fs.Int("maxfaults", 200, "largest fault count")
+		step      = fs.Int("step", 10, "fault count step")
+		asJSON    = fs.Bool("json", false, "emit JSON instead of tables")
+		clusters  = fs.Int("clusters", 0, "cluster the faults around this many centers (0 = uniform, the paper's workload)")
+		spread    = fs.Int("spread", 4, "cluster spread (with -clusters)")
+		scaling   = fs.Bool("scaling", false, "run the mesh-size scalability sweep instead of the figures")
+		density   = fs.Float64("density", 0.005, "fault density for -scaling")
+		prof      = cli.ProfileFlags(fs)
+		timing    = fs.Bool("timing", false, "print the per-stage timing breakdown (setup/evaluation/aggregation)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	spec := *faultSched
-	if *faultRate > 0 {
-		if spec != "" {
-			return fmt.Errorf("-fault-rate and -fault-schedule are mutually exclusive")
-		}
-		spec = fmt.Sprintf("random:rate=%g", *faultRate)
-	}
-	if spec != "" {
-		return onlineSweep(out, *n, *seed, spec, *policyName, *cycles, *warmup, *injRate)
 	}
 
 	// Reject an unknown experiment before paying for the simulation.
@@ -172,61 +144,6 @@ func run(args []string, out io.Writer) error {
 		if err := tb.Format(out); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// onlineSweep runs the online fault-arrival experiment: traffic starts
-// on a fault-free n x n mesh routed by Wu's protocol, faults arrive
-// mid-run per the schedule, and each packet policy gets one row
-// showing how delivery degrades. Packet conservation is checked by the
-// simulator itself; the run fails loudly if it does not hold.
-func onlineSweep(out io.Writer, n int, seed int64, spec, policyName string, cycles, warmup int, injRate float64) error {
-	m := mesh.Mesh{Width: n, Height: n}
-	sched, err := inject.Parse(m, warmup+cycles, seed+1, spec)
-	if err != nil {
-		return err
-	}
-	policies := []traffic.Policy{traffic.PolicyReroute, traffic.PolicyDegrade, traffic.PolicyDrop}
-	if policyName != "" {
-		p, err := traffic.ParsePolicy(policyName)
-		if err != nil {
-			return err
-		}
-		policies = []traffic.Policy{p}
-	}
-
-	fmt.Fprintf(out, "# online fault-arrival sweep: %dx%d mesh, Wu routing, injection %.3f, %d+%d cycles, seed %d\n",
-		n, n, injRate, warmup, cycles, seed)
-	fmt.Fprintf(out, "# schedule %s: %d events (fault seed %d)\n", spec, len(sched), seed+1)
-	fmt.Fprintf(out, "%8s  %8s  %10s  %10s  %8s  %8s  %8s  %8s  %10s  %10s\n",
-		"policy", "events", "delivered", "stranded", "rerouted", "degraded", "dropped", "detours", "latency", "stretch")
-	for _, p := range policies {
-		blocked := make([]bool, m.Size())
-		cfg := traffic.Config{
-			M:              m,
-			Blocked:        blocked,
-			Route:          traffic.WuRouting(route.NewRouter(m, blocked)),
-			InjectionRate:  injRate,
-			Cycles:         cycles,
-			Warmup:         warmup,
-			Seed:           seed,
-			GuaranteedOnly: true,
-		}
-		on := &traffic.Online{
-			Schedule: sched,
-			Policy:   p,
-			Rebuild: func(b []bool) traffic.RoutingFunc {
-				return traffic.WuRouting(route.NewRouter(m, b))
-			},
-		}
-		st, ost, err := traffic.RunOnline(cfg, on)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%8v  %8d  %10d  %10d  %8d  %8d  %8d  %8d  %10.2f  %10.3f\n",
-			p, ost.Events, st.Delivered, st.Undeliverable,
-			ost.Rerouted, ost.Degraded, ost.Dropped(), ost.DetourHops, st.AvgLatency, st.AvgStretch)
 	}
 	return nil
 }

@@ -99,47 +99,3 @@ func TestRunScalingSweep(t *testing.T) {
 		t.Errorf("largest mesh row missing:\n%s", out)
 	}
 }
-
-func TestRunOnlineSweep(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-n", "16", "-fault-schedule", "bursts:count=2,size=4,spread=1",
-		"-cycles", "120", "-warmup", "30", "-inj", "0.05"}, &sb)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := sb.String()
-	for _, want := range []string{"online fault-arrival sweep", "reroute", "degrade", "drop", "stretch"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Header comments + column header + one row per policy.
-	if lines := strings.Count(strings.TrimSpace(out), "\n"); lines != 5 {
-		t.Errorf("expected 6 lines, got %d:\n%s", lines+1, out)
-	}
-}
-
-func TestRunOnlineSweepSinglePolicy(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-n", "16", "-fault-rate", "0.01", "-policy", "degrade",
-		"-cycles", "120", "-warmup", "30"}, &sb)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := sb.String()
-	// "reroute " with a trailing space matches the policy column, not
-	// the "rerouted" counter header.
-	if !strings.Contains(out, "degrade ") || strings.Contains(out, "reroute ") || strings.Contains(out, "drop ") {
-		t.Errorf("single-policy sweep should print only the degrade row:\n%s", out)
-	}
-}
-
-func TestRunOnlineSweepErrors(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-fault-rate", "0.1", "-fault-schedule", "none"}, &sb); err == nil {
-		t.Error("fault-rate plus fault-schedule should fail")
-	}
-	if err := run([]string{"-fault-rate", "0.1", "-policy", "yolo"}, &sb); err == nil {
-		t.Error("unknown policy should fail")
-	}
-}

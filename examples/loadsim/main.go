@@ -2,8 +2,7 @@
 // through the public API. The same network is simulated under rising
 // injection rates with three per-hop routers — Wu's limited-information
 // protocol, the full-information oracle, and the fault-oblivious XY
-// baseline — first as store-and-forward packet switching, then as
-// flit-level wormhole switching with per-quadrant virtual channels.
+// baseline — under store-and-forward packet switching.
 package main
 
 import (
@@ -41,31 +40,24 @@ func main() {
 		{"xy", extmesh.XYRouter},
 	}
 
-	for _, wormholeMode := range []bool{false, true} {
-		if wormholeMode {
-			fmt.Println("flit-level wormhole switching (8-flit packets, class VCs):")
-		} else {
-			fmt.Println("store-and-forward packet switching:")
-		}
-		fmt.Printf("%8s  %8s  %10s  %10s  %10s\n", "router", "rate", "delivered", "stranded", "latency")
-		for _, r := range routers {
-			for _, rate := range []float64{0.01, 0.05} {
-				opts := extmesh.DefaultTrafficOptions()
-				opts.Routing = r.kind
-				opts.InjectionRate = rate
-				opts.Cycles = 300
-				opts.Warmup = 60
-				opts.Wormhole = wormholeMode
-				st, err := net.SimulateTraffic(opts)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("%8s  %8.2f  %10d  %10d  %10.2f\n",
-					r.name, rate, st.Delivered, st.Undeliverable, st.AvgLatency)
+	fmt.Println("store-and-forward packet switching:")
+	fmt.Printf("%8s  %8s  %10s  %10s  %10s\n", "router", "rate", "delivered", "stranded", "latency")
+	for _, r := range routers {
+		for _, rate := range []float64{0.01, 0.05} {
+			opts := extmesh.DefaultTrafficOptions()
+			opts.Routing = r.kind
+			opts.InjectionRate = rate
+			opts.Cycles = 300
+			opts.Warmup = 60
+			st, err := net.SimulateTraffic(opts)
+			if err != nil {
+				log.Fatal(err)
 			}
+			fmt.Printf("%8s  %8.2f  %10d  %10d  %10.2f\n",
+				r.name, rate, st.Delivered, st.Undeliverable, st.AvgLatency)
 		}
-		fmt.Println()
 	}
+	fmt.Println()
 	fmt.Println("Wu's limited-information protocol strands nothing on guaranteed")
 	fmt.Println("pairs and tracks the oracle's latency; XY routing loses packets.")
 }

@@ -1,12 +1,9 @@
-// Package inject generates and applies deterministic online fault
-// schedules: the mid-run fault-arrival layer of the load simulators.
-// A Schedule is a seeded, reproducible list of fail/recover events in
-// simulation-cycle order — random arrivals at a configurable rate,
-// clustered bursts, or transient faults that recover after a repair
-// delay — and a Runtime replays it on top of the incremental
-// dynamic.Tracker, so fault regions and extended safety levels are
-// maintained with the paper's localized updates ("only those affected
-// nodes update their information") instead of full recomputation.
+// Package inject generates deterministic fault schedules: seeded,
+// reproducible lists of fail/recover events in cycle order — random
+// arrivals at a configurable rate, clustered bursts, or transient
+// faults that recover after a repair delay. The serving plane applies
+// a parsed schedule as one fault-admin request, and the package's
+// SubSeed/Rand streams seed the reliability sweeps.
 package inject
 
 import (
@@ -79,6 +76,11 @@ func (s Schedule) Validate(m mesh.Mesh) error {
 	return nil
 }
 
+// maxBurstScan bounds the cells Bursts may scan in total: every burst
+// scans the box of its spread around its center, so the count times the
+// box area (clipped to the mesh) is the generator's work.
+const maxBurstScan = 1 << 24
+
 // maxFailedFraction caps how much of the mesh the generators will
 // fail: random arrival streams stop once half the nodes are down, so
 // a long run degrades instead of annihilating the network.
@@ -119,8 +121,11 @@ func Bursts(m mesh.Mesh, cycles, bursts, size, spread int, seed int64) (Schedule
 	if cycles <= 0 {
 		return nil, fmt.Errorf("inject: bursts need a positive cycle count, got %d", cycles)
 	}
-	if bursts <= 0 || size <= 0 || spread < 0 {
-		return nil, fmt.Errorf("inject: invalid burst shape count=%d size=%d spread=%d", bursts, size, spread)
+	if bursts <= 0 || size <= 0 || spread < 0 || spread > max(m.Width, m.Height) {
+		return nil, fmt.Errorf("inject: invalid burst shape count=%d size=%d spread=%d on %v", bursts, size, spread, m)
+	}
+	if area := min(2*spread+1, m.Width) * min(2*spread+1, m.Height); bursts > maxBurstScan/max(area, 1) {
+		return nil, fmt.Errorf("inject: %d bursts of spread %d scan more than %d cells", bursts, spread, maxBurstScan)
 	}
 	rng := subRand(seed, streamBursts)
 	when := make([]int, bursts)
@@ -137,11 +142,10 @@ func Bursts(m mesh.Mesh, cycles, bursts, size, spread int, seed int64) (Schedule
 		}
 		center := m.CoordOf(rng.Intn(m.Size()))
 		var box []int
-		for y := center.Y - spread; y <= center.Y+spread; y++ {
-			for x := center.X - spread; x <= center.X+spread; x++ {
-				n := mesh.Coord{X: x, Y: y}
-				if m.Contains(n) && !failed[m.Index(n)] {
-					box = append(box, m.Index(n))
+		for y := max(center.Y-spread, 0); y <= min(center.Y+spread, m.Height-1); y++ {
+			for x := max(center.X-spread, 0); x <= min(center.X+spread, m.Width-1); x++ {
+				if idx := m.Index(mesh.Coord{X: x, Y: y}); !failed[idx] {
+					box = append(box, idx)
 				}
 			}
 		}
@@ -221,15 +225,25 @@ func checkRate(m mesh.Mesh, cycles int, rate float64) error {
 //	"fail@10:3,4;recover@50:3,4"        explicit event list
 //
 // Generated specs run over [0, cycles) with the given seed; explicit
-// event lists are used verbatim (sorted by cycle).
-func Parse(m mesh.Mesh, cycles int, seed int64, spec string) (Schedule, error) {
+// event lists are used verbatim (sorted by cycle). A schedule of more
+// than maxEvents events is an error, and so is a bursts count above
+// maxEvents: both are rejected before any event reaches the caller.
+func Parse(m mesh.Mesh, cycles int, seed int64, spec string, maxEvents int) (Schedule, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "none" {
 		return nil, nil
 	}
 	if strings.Contains(spec, "@") {
-		return parseEvents(m, spec)
+		return parseEvents(m, spec, maxEvents)
 	}
+	s, err := generate(m, cycles, seed, spec, maxEvents)
+	if err == nil && len(s) > maxEvents {
+		return nil, fmt.Errorf("inject: schedule of %d events exceeds the %d limit", len(s), maxEvents)
+	}
+	return s, err
+}
+
+func generate(m mesh.Mesh, cycles int, seed int64, spec string, maxEvents int) (Schedule, error) {
 	kind, argstr, _ := strings.Cut(spec, ":")
 	args, err := parseArgs(argstr)
 	if err != nil {
@@ -252,6 +266,9 @@ func Parse(m mesh.Mesh, cycles int, seed int64, spec string) (Schedule, error) {
 		if err := firstErr(err1, err2, err3, noExtraArgs(args, "count", "size", "spread")); err != nil {
 			return nil, err
 		}
+		if count > maxEvents {
+			return nil, fmt.Errorf("inject: %d bursts exceed the %d event limit", count, maxEvents)
+		}
 		return Bursts(m, cycles, count, size, spread, seed)
 	case "transient":
 		rate, err1 := floatArg(args, "rate", -1)
@@ -265,12 +282,17 @@ func Parse(m mesh.Mesh, cycles int, seed int64, spec string) (Schedule, error) {
 	}
 }
 
-func parseEvents(m mesh.Mesh, spec string) (Schedule, error) {
+func parseEvents(m mesh.Mesh, spec string, maxEvents int) (Schedule, error) {
 	var s Schedule
-	for _, part := range strings.Split(spec, ";") {
+	for more := true; more; {
+		var part string
+		part, spec, more = strings.Cut(spec, ";")
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
+		}
+		if len(s) == maxEvents {
+			return nil, fmt.Errorf("inject: event list exceeds the %d event limit", maxEvents)
 		}
 		opStr, rest, ok := strings.Cut(part, "@")
 		if !ok {

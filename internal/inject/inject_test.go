@@ -160,21 +160,21 @@ func TestTransientPairsFailWithRecover(t *testing.T) {
 func TestParse(t *testing.T) {
 	m := testMesh(t)
 	for _, spec := range []string{"", "none"} {
-		s, err := Parse(m, 100, 1, spec)
+		s, err := Parse(m, 100, 1, spec, 4096)
 		if err != nil || len(s) != 0 {
 			t.Errorf("Parse(%q) = %v, %v; want empty", spec, s, err)
 		}
 	}
-	if s, err := Parse(m, 1000, 3, "random:rate=0.5"); err != nil || len(s) == 0 {
+	if s, err := Parse(m, 1000, 3, "random:rate=0.5", 4096); err != nil || len(s) == 0 {
 		t.Errorf("random spec: %d events, err %v", len(s), err)
 	}
-	if s, err := Parse(m, 200, 3, "bursts:count=2,size=4,spread=1"); err != nil || len(s) == 0 {
+	if s, err := Parse(m, 200, 3, "bursts:count=2,size=4,spread=1", 4096); err != nil || len(s) == 0 {
 		t.Errorf("bursts spec: %d events, err %v", len(s), err)
 	}
-	if s, err := Parse(m, 400, 3, "transient:rate=0.2,repair=10"); err != nil || len(s) == 0 {
+	if s, err := Parse(m, 400, 3, "transient:rate=0.2,repair=10", 4096); err != nil || len(s) == 0 {
 		t.Errorf("transient spec: %d events, err %v", len(s), err)
 	}
-	s, err := Parse(m, 100, 1, "recover@50:3,4; fail@10:3,4")
+	s, err := Parse(m, 100, 1, "recover@50:3,4; fail@10:3,4", 4096)
 	if err != nil {
 		t.Fatalf("explicit events: %v", err)
 	}
@@ -200,9 +200,38 @@ func TestParse(t *testing.T) {
 		"explode@10:1,2", // bad op
 		"fail@10:1",      // bad node
 	} {
-		if _, err := Parse(m, 100, 1, bad); err == nil {
+		if _, err := Parse(m, 100, 1, bad, 4096); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
+	}
+}
+
+// TestParseBounded checks that every way a spec can ask for more than
+// maxEvents events is refused, and that a burst shape whose scan would
+// exceed the mesh or the scan budget is refused before generation.
+func TestParseBounded(t *testing.T) {
+	m := testMesh(t)
+	for _, spec := range []string{
+		"fail@1:1,1;fail@2:2,2;fail@3:3,3",  // explicit list of 3
+		"bursts:count=3,size=1,spread=0",    // count above the limit
+		"transient:rate=1,repair=1",         // ~2 events per cycle
+		"random:rate=1",                     // one event per cycle
+		"bursts:count=1,size=1,spread=17",   // spread above the side
+		"bursts:count=2,size=1,spread=-1",   // negative spread
+		"fail@1:1,1;;fail@2:2,2;fail@3:3,3", // empty parts do not count, the rest do
+	} {
+		if s, err := Parse(m, 100, 1, spec, 2); err == nil {
+			t.Errorf("Parse(%q, max 2) = %d events, want an error", spec, len(s))
+		}
+	}
+	if s, err := Parse(m, 100, 1, "fail@1:1,1;;fail@2:2,2", 2); err != nil || len(s) != 2 {
+		t.Errorf("two events at a limit of 2: %d events, err %v", len(s), err)
+	}
+	if _, err := Bursts(m, 100, maxBurstScan/m.Size()+1, 1, m.Width, 1); err == nil {
+		t.Error("bursts past the scan budget should fail")
+	}
+	if s, err := Bursts(m, 100, 2, 4, m.Width, 1); err != nil || len(s) != 8 {
+		t.Errorf("whole-mesh bursts: %d events, err %v; want 8", len(s), err)
 	}
 }
 

@@ -27,6 +27,9 @@ const (
 	// the region is split into single cells, and every level past that
 	// re-appends them all, so an unbounded level is unbounded work.
 	MaxPivotLevels = 8
+	// MaxSpecCycles bounds a fault spec's horizon: the random and
+	// transient generators draw once per cycle.
+	MaxSpecCycles = 10000
 	// MaxRequestBytes bounds a request body; the largest legitimate
 	// body is an uploaded network blob (dimensions plus fault list).
 	MaxRequestBytes = 8 << 20
@@ -405,8 +408,14 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		if cycles <= 0 {
 			cycles = 1000
 		}
+		if cycles > MaxSpecCycles {
+			writeError(w, http.StatusBadRequest, "spec horizon of %d cycles exceeds the %d limit", cycles, MaxSpecCycles)
+			return
+		}
+		// A spec is bounded like an explicit list: at most MaxBatch
+		// events, refused whole before any is applied.
 		m := mesh.Mesh{Width: d.Width(), Height: d.Height()}
-		sched, err := inject.Parse(m, cycles, req.Seed, req.Spec)
+		sched, err := inject.Parse(m, cycles, req.Seed, req.Spec, MaxBatch)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return

@@ -412,6 +412,44 @@ func TestFaultAdminSpec(t *testing.T) {
 	}
 }
 
+// TestFaultSpecBounded checks that a spec asking for more work than an
+// explicit fail/recover list may carry is a 400 that applies nothing:
+// a generated schedule longer than MaxBatch, a bursts count above it, a
+// spread wider than the mesh, an explicit event list longer than it,
+// and a horizon past MaxSpecCycles.
+func TestFaultSpecBounded(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+	d := s.Meshes().Get("m")
+	faults, version := d.FaultCount(), d.Version()
+	long := strings.Repeat("fail@0:1,1;recover@1:1,1;", MaxBatch/2) + "fail@2:1,1"
+	for _, req := range []wire.FaultsRequest{
+		{Spec: "transient:rate=1,repair=1", Cycles: 5000},
+		{Spec: fmt.Sprintf("bursts:count=%d", MaxBatch+1)},
+		{Spec: "bursts:count=1,size=1,spread=17"},
+		{Spec: long},
+		{Spec: "random:rate=0.01", Cycles: MaxSpecCycles + 1},
+	} {
+		var body wire.ErrorBody
+		if code := post(t, ts.URL+"/v1/mesh/m/faults", req, &body); code != http.StatusBadRequest {
+			t.Errorf("spec %.40q cycles %d = %d, want 400", req.Spec, req.Cycles, code)
+		}
+		if d.FaultCount() != faults || d.Version() != version {
+			t.Fatalf("spec %.40q changed the mesh: %d faults v%d, want %d v%d",
+				req.Spec, d.FaultCount(), d.Version(), faults, version)
+		}
+	}
+	// At the limits a spec is still served.
+	var fr wire.FaultsResult
+	at := strings.Repeat("fail@0:1,1;recover@1:1,1;", MaxBatch/2)
+	if code := post(t, ts.URL+"/v1/mesh/m/faults", wire.FaultsRequest{Spec: at}, &fr); code != http.StatusOK {
+		t.Errorf("%d explicit events = %d, want 200", MaxBatch, code)
+	}
+	if code := post(t, ts.URL+"/v1/mesh/m/faults",
+		wire.FaultsRequest{Spec: "bursts:count=2,size=3,spread=16", Cycles: MaxSpecCycles}, &fr); code != http.StatusOK || fr.Applied == 0 {
+		t.Errorf("bursts at the limits = %d %+v, want 200 with faults applied", code, fr)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	// Warm the reach cache with repeated existence queries.

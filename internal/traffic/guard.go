@@ -47,7 +47,7 @@ func (i Invariant) String() string {
 // run. The statistics accumulated up to the violation are not returned:
 // a run that trips an invariant has produced garbage.
 type SimError struct {
-	Sim    string // "traffic" or "wormhole"
+	Sim    string // the simulator that tripped, "traffic"
 	Kind   Invariant
 	Cycle  int
 	Detail string

@@ -159,8 +159,7 @@ func (o *OnlineStats) Publish() {
 }
 
 // RecordDelivery counts one delivered packet in the total ledger and
-// its stretch histogram; shared by the store-and-forward and wormhole
-// simulators.
+// its stretch histogram.
 func (o *OnlineStats) RecordDelivery(hops, dist int) {
 	o.DeliveredTotal++
 	o.StretchHist[stretchBucket(hops, dist)]++

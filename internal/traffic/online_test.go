@@ -122,7 +122,7 @@ func TestRunOnlinePolicies(t *testing.T) {
 		Seed:    1,
 		Preload: []Flow{{Src: src, Dst: dst}},
 	}
-	sched, err := inject.Parse(m, 40, 1, "fail@2:3,0")
+	sched, err := inject.Parse(m, 40, 1, "fail@2:3,0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

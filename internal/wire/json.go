@@ -112,7 +112,8 @@ type MeshState struct {
 // recover lists, or an inject schedule spec ("random:rate=0.01",
 // "bursts:count=2,size=6", "fail@0:3,4;recover@9:3,4", ...) whose
 // events are applied in schedule order. The two are mutually
-// exclusive.
+// exclusive. Either form carries at most serve.MaxBatch events, and a
+// spec's horizon is at most serve.MaxSpecCycles cycles.
 type FaultsRequest struct {
 	Fail    []extmesh.Coord `json:"fail,omitempty"`
 	Recover []extmesh.Coord `json:"recover,omitempty"`

@@ -2,11 +2,11 @@ package extmesh
 
 import (
 	"fmt"
+	"math"
 
 	"extmesh/internal/inject"
 	"extmesh/internal/route"
 	"extmesh/internal/traffic"
-	"extmesh/internal/wormhole"
 )
 
 // RoutingKind selects the routing function driving a traffic
@@ -61,13 +61,6 @@ type TrafficOptions struct {
 	QueueCapacity int
 	ClassChannels bool
 
-	// Wormhole switches to flit-level wormhole simulation with
-	// FlitsPerPacket-flit worms, BufferFlits-deep virtual-channel
-	// buffers and per-quadrant channel classes.
-	Wormhole       bool
-	FlitsPerPacket int
-	BufferFlits    int
-
 	// FaultSchedule injects faults mid-run, in inject.Parse syntax:
 	// "random:rate=0.001", "bursts:count=2,size=6,spread=2",
 	// "transient:rate=0.001,repair=50", or an explicit event list like
@@ -97,8 +90,6 @@ func DefaultTrafficOptions() TrafficOptions {
 		Warmup:         100,
 		Seed:           1,
 		GuaranteedOnly: true,
-		FlitsPerPacket: 8,
-		BufferFlits:    2,
 	}
 }
 
@@ -124,12 +115,6 @@ func (o TrafficOptions) Validate() error {
 	}
 	if o.QueueCapacity < 0 {
 		return fmt.Errorf("extmesh: queue capacity must be non-negative, got %d", o.QueueCapacity)
-	}
-	if o.FlitsPerPacket < 0 {
-		return fmt.Errorf("extmesh: flits per packet must be non-negative, got %d", o.FlitsPerPacket)
-	}
-	if o.BufferFlits < 0 {
-		return fmt.Errorf("extmesh: buffer flits must be non-negative, got %d", o.BufferFlits)
 	}
 	if o.FaultRate < 0 || o.FaultRate > 1 {
 		return fmt.Errorf("extmesh: fault rate %v outside [0,1]", o.FaultRate)
@@ -170,13 +155,12 @@ type TrafficStats struct {
 }
 
 // SimulateTraffic runs the network under uniform random load and
-// reports delivery statistics: either store-and-forward packet
-// switching or flit-level wormhole switching, with Wu's protocol, the
-// oracle, or the XY baseline making the per-hop decisions. A fault
-// schedule turns the run into an online fault-tolerance experiment:
-// faults arrive (and possibly recover) mid-run, routing state is
-// rebuilt incrementally, and affected packets are handled by the
-// configured policy.
+// reports delivery statistics under store-and-forward packet switching,
+// with Wu's protocol, the oracle, or the XY baseline making the per-hop
+// decisions. A fault schedule turns the run into an online
+// fault-tolerance experiment: faults arrive (and possibly recover)
+// mid-run, routing state is rebuilt incrementally, and affected packets
+// are handled by the configured policy.
 func (n *Network) SimulateTraffic(opts TrafficOptions) (TrafficStats, error) {
 	if err := opts.Validate(); err != nil {
 		return TrafficStats{}, err
@@ -214,7 +198,7 @@ func (n *Network) SimulateTraffic(opts TrafficOptions) (TrafficStats, error) {
 		if seed == 0 {
 			seed = opts.Seed + 1
 		}
-		sched, err := inject.Parse(n.m, opts.Warmup+opts.Cycles, seed, spec)
+		sched, err := inject.Parse(n.m, opts.Warmup+opts.Cycles, seed, spec, math.MaxInt)
 		if err != nil {
 			return TrafficStats{}, err
 		}
@@ -227,41 +211,6 @@ func (n *Network) SimulateTraffic(opts TrafficOptions) (TrafficStats, error) {
 				return fn
 			},
 		}
-	}
-
-	if opts.Wormhole {
-		cfg := wormhole.Config{
-			M:              n.m,
-			Blocked:        blocked,
-			Route:          fn,
-			FlitsPerPacket: opts.FlitsPerPacket,
-			BufferFlits:    opts.BufferFlits,
-			ClassVCs:       true,
-			InjectionRate:  opts.InjectionRate,
-			Cycles:         opts.Cycles,
-			Warmup:         opts.Warmup,
-			Seed:           opts.Seed,
-			GuaranteedOnly: opts.GuaranteedOnly,
-		}
-		var st wormhole.Stats
-		var ost traffic.OnlineStats
-		if on != nil {
-			st, ost, err = wormhole.RunOnline(cfg, on)
-		} else {
-			st, err = wormhole.Run(cfg)
-		}
-		if err != nil {
-			return TrafficStats{}, err
-		}
-		return mergeStats(TrafficStats{
-			Injected:      st.Injected,
-			Delivered:     st.Delivered,
-			Undeliverable: st.Undeliverable,
-			Deadlocked:    st.Deadlocked,
-			AvgLatency:    st.AvgLatency,
-			AvgStretch:    st.AvgStretch,
-			Throughput:    st.Throughput,
-		}, on != nil, ost), nil
 	}
 
 	cfg := traffic.Config{

@@ -19,8 +19,6 @@ func TestTrafficOptionsValidate(t *testing.T) {
 		{"negative_warmup", func(o *TrafficOptions) { o.Warmup = -1 }, "warmup"},
 		{"warmup_swallows_cycles", func(o *TrafficOptions) { o.Warmup = o.Cycles }, "no cycle is measured"},
 		{"negative_capacity", func(o *TrafficOptions) { o.QueueCapacity = -2 }, "queue capacity"},
-		{"negative_flits", func(o *TrafficOptions) { o.FlitsPerPacket = -1 }, "flits per packet"},
-		{"negative_buffers", func(o *TrafficOptions) { o.BufferFlits = -1 }, "buffer flits"},
 		{"negative_fault_rate", func(o *TrafficOptions) { o.FaultRate = -0.5 }, "fault rate"},
 		{"rate_and_schedule", func(o *TrafficOptions) { o.FaultRate = 0.1; o.FaultSchedule = "none" }, "mutually exclusive"},
 		{"online_needs_blocks", func(o *TrafficOptions) { o.Model = MCC; o.FaultRate = 0.1 }, "Blocks model"},
@@ -43,34 +41,31 @@ func TestTrafficOptionsValidate(t *testing.T) {
 }
 
 // TestSimulateTrafficOnline runs the public online fault-injection API
-// end to end for every policy and both switching modes.
+// end to end for every policy.
 func TestSimulateTrafficOnline(t *testing.T) {
 	n := paperNetwork(t)
-	for _, wormhole := range []bool{false, true} {
-		for _, p := range []FaultPolicy{RerouteFaults, DegradeFaults, DropFaults} {
-			opts := DefaultTrafficOptions()
-			opts.Cycles = 150
-			opts.Warmup = 30
-			opts.Wormhole = wormhole
-			opts.FaultSchedule = "transient:rate=0.05,repair=30"
-			opts.FaultPolicy = p
-			st, err := n.SimulateTraffic(opts)
-			if err != nil {
-				t.Fatalf("wormhole=%v policy=%v: %v", wormhole, p, err)
-			}
-			if st.FaultEvents == 0 {
-				t.Errorf("wormhole=%v policy=%v: no fault events fired", wormhole, p)
-			}
-			if st.Delivered == 0 {
-				t.Errorf("wormhole=%v policy=%v: nothing delivered", wormhole, p)
-			}
-			total := 0
-			for _, b := range st.StretchHist {
-				total += b
-			}
-			if total == 0 {
-				t.Errorf("wormhole=%v policy=%v: empty stretch histogram", wormhole, p)
-			}
+	for _, p := range []FaultPolicy{RerouteFaults, DegradeFaults, DropFaults} {
+		opts := DefaultTrafficOptions()
+		opts.Cycles = 150
+		opts.Warmup = 30
+		opts.FaultSchedule = "transient:rate=0.05,repair=30"
+		opts.FaultPolicy = p
+		st, err := n.SimulateTraffic(opts)
+		if err != nil {
+			t.Fatalf("policy=%v: %v", p, err)
+		}
+		if st.FaultEvents == 0 {
+			t.Errorf("policy=%v: no fault events fired", p)
+		}
+		if st.Delivered == 0 {
+			t.Errorf("policy=%v: nothing delivered", p)
+		}
+		total := 0
+		for _, b := range st.StretchHist {
+			total += b
+		}
+		if total == 0 {
+			t.Errorf("policy=%v: empty stretch histogram", p)
 		}
 	}
 }

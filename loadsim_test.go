@@ -25,25 +25,6 @@ func TestSimulateTrafficStoreAndForward(t *testing.T) {
 	}
 }
 
-func TestSimulateTrafficWormhole(t *testing.T) {
-	n := paperNetwork(t)
-	opts := DefaultTrafficOptions()
-	opts.Wormhole = true
-	opts.Cycles = 200
-	opts.Warmup = 40
-	opts.InjectionRate = 0.01
-	st, err := n.SimulateTraffic(opts)
-	if err != nil {
-		t.Fatalf("SimulateTraffic: %v", err)
-	}
-	if st.Delivered == 0 {
-		t.Fatalf("no worms delivered: %+v", st)
-	}
-	if st.Deadlocked {
-		t.Error("class-VC wormhole should not deadlock")
-	}
-}
-
 func TestSimulateTrafficRoutingKinds(t *testing.T) {
 	n := paperNetwork(t)
 	for _, kind := range []RoutingKind{WuProtocol, OracleRouter, XYRouter} {
