@@ -2,9 +2,9 @@ GO ?= go
 
 # Packages with lock-guarded or worker-pool concurrency that the race
 # detector must cover.
-RACE_PKGS = . ./internal/wang ./internal/traffic ./internal/safety ./internal/sim ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved ./cmd/meshstress
+RACE_PKGS = . ./internal/wang ./internal/safety ./internal/sim ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved ./cmd/meshstress
 
-.PHONY: all build test vet fmt race bench bench-smoke bench-diff perf-smoke smoke chaos rel-smoke loc verify clean
+.PHONY: all build test vet fmt race bench bench-smoke bench-diff perf-smoke smoke chaos rel-smoke paper loc verify clean
 
 all: build
 
@@ -112,6 +112,26 @@ chaos: build
 # pins as agreeing.
 rel-smoke:
 	$(GO) run ./cmd/meshrel -w 32 -h 32 -k 8 -trials 512 -pairs 4 -seed 2 -check
+
+# paper regenerates the three committed paper-scale tables with the
+# recipes in EXPERIMENTS.md and fails on any difference, ignoring only
+# the wall-clock "(12.3s)" that a figure run's header ends with. The
+# uniform table is also a tier-1 test (cmd/meshsim
+# TestPaperTableUnchanged); this target adds the clustered and scaling
+# tables. About 10 s on 2 vCPUs.
+PAPER_TABLES = results-200x200.txt:-configs,30,-dests,60 \
+	results-clustered-200x200.txt:-configs,30,-dests,60,-clusters,8,-spread,5 \
+	results-scaling.txt:-scaling
+
+paper:
+	@$(GO) build -o .bench_build/meshsim ./cmd/meshsim
+	@for spec in $(PAPER_TABLES); do \
+		f=$${spec%%:*}; args=$$(echo $${spec#*:} | tr , ' '); \
+		.bench_build/meshsim $$args | sed -E 's/ \([0-9.]+s\)$$//' > .bench_build/$$f; \
+		sed -E 's/ \([0-9.]+s\)$$//' docs/$$f | diff -u - .bench_build/$$f || \
+			{ echo "paper: docs/$$f no longer regenerates (meshsim $$args)"; exit 1; }; \
+		echo "paper: docs/$$f ok"; \
+	done
 
 # loc prints the non-test Go line count of every package in the module
 # (wc -l over its non-test .go files, comments and blank lines

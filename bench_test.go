@@ -14,7 +14,6 @@ import (
 	"extmesh/internal/safety"
 	"extmesh/internal/sim"
 	"extmesh/internal/simnet"
-	"extmesh/internal/traffic"
 	"extmesh/internal/wang"
 )
 
@@ -317,37 +316,6 @@ func BenchmarkNetworkEnsure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = n.Ensure(s, d, Blocks, st)
-	}
-}
-
-func BenchmarkTrafficWu(b *testing.B) {
-	m := mesh.Mesh{Width: 32, Height: 32}
-	rng := rand.New(rand.NewSource(12))
-	faults, err := fault.RandomFaults(m, 30, rng, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc, err := fault.NewScenario(m, faults)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blocked := fault.BuildBlocks(sc).BlockedGrid()
-	cfg := traffic.Config{
-		M:              m,
-		Blocked:        blocked,
-		Route:          traffic.WuRouting(route.NewRouter(m, blocked)),
-		InjectionRate:  0.05,
-		Cycles:         100,
-		Warmup:         20,
-		Seed:           1,
-		GuaranteedOnly: true,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := traffic.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -80,6 +80,14 @@ func batchFor(i int) meshclient.FaultsRequest {
 	return req
 }
 
+// interleaved is an ordered fail, repair, fail sequence mid-history,
+// one request per step: 12,12 fails and recovers, 13,13 stays failed.
+var interleaved = []meshclient.FaultsRequest{
+	{Fail: []extmesh.Coord{{X: 12, Y: 12}}},
+	{Recover: []extmesh.Coord{{X: 12, Y: 12}}},
+	{Fail: []extmesh.Coord{{X: 13, Y: 13}}},
+}
+
 // queryBattery collects raw response bytes for a fixed set of queries;
 // two servers with identical mesh state must produce identical bytes.
 func queryBattery(t *testing.T, c *meshclient.Client) []string {
@@ -137,9 +145,10 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	// Also journal an inject-schedule admin event mid-history.
-	if _, err := c.InjectSpec(ctx, "m", "fail@0:12,12;recover@1:12,12;fail@2:13,13", 10, 1); err != nil {
-		t.Fatal(err)
+	for _, req := range interleaved {
+		if _, err := c.ApplyFaults(ctx, "m", req); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// SIGKILL: no drain, no final snapshot — recovery must come from
@@ -155,7 +164,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mesh lost across SIGKILL: %v", err)
 	}
-	// Mid-point sanity: 5 fails + net one fault from the spec = 6.
+	// Mid-point sanity: 5 fails + net one fault from the interleaving = 6.
 	if st.Faults == nil || len(st.Faults) != 6 {
 		t.Fatalf("recovered mid-point faults = %v, want 6", st.Faults)
 	}
@@ -175,8 +184,10 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cc.InjectSpec(ctx, "m", "fail@0:12,12;recover@1:12,12;fail@2:13,13", 10, 1); err != nil {
-		t.Fatal(err)
+	for _, req := range interleaved {
+		if _, err := cc.ApplyFaults(ctx, "m", req); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 5; i < 10; i++ {
 		if _, err := cc.ApplyFaults(ctx, "m", batchFor(i)); err != nil {

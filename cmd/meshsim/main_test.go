@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -97,5 +99,35 @@ func TestRunScalingSweep(t *testing.T) {
 	}
 	if !strings.Contains(out, "     300") {
 		t.Errorf("largest mesh row missing:\n%s", out)
+	}
+}
+
+// stripTiming removes the wall-clock "(12.3s)" that the header line of
+// a figure run ends with; everything else in a run is deterministic.
+var stripTiming = regexp.MustCompile(`(?m) \([0-9.]+s\)$`)
+
+// TestPaperTableUnchanged regenerates the committed paper-scale table
+// (uniform faults on 200x200, EXPERIMENTS.md's recipe) and requires it
+// byte for byte, so a change to any condition, the fault model or the
+// seeding shows up as a diff. `make paper` checks the clustered and
+// scaling tables the same way.
+func TestPaperTableUnchanged(t *testing.T) {
+	want, err := os.ReadFile("../../docs/results-200x200.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-configs", "30", "-dests", "60"}, &sb); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got := stripTiming.ReplaceAllString(sb.String(), "")
+	if w := stripTiming.ReplaceAllString(string(want), ""); got != w {
+		gl, wl := strings.Split(got, "\n"), strings.Split(w, "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("docs/results-200x200.txt differs at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("docs/results-200x200.txt has %d lines, the run %d", len(wl), len(gl))
 	}
 }

@@ -274,9 +274,8 @@ func (d *DynamicNetwork) Snapshot() (*Network, error) {
 // Apply performs a batch of mutations: every node in fail is marked
 // faulty and every node in recover is repaired, in order. Mutations
 // that cannot apply — failing an already-faulty node, recovering a
-// healthy one — are skipped and counted rather than fatal, matching
-// the online fault-injection runtime's replay semantics, so a fault
-// schedule can be replayed onto a live network idempotently. Nodes
+// healthy one — are skipped and counted rather than fatal, so a
+// journaled batch replays onto a live network idempotently. Nodes
 // outside the mesh return an error and abort the batch (applied
 // reports how far it got).
 func (d *DynamicNetwork) Apply(fail, recover []Coord) (applied, skipped int, err error) {

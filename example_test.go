@@ -90,25 +90,6 @@ func ExampleNewDynamic() {
 	// update touched 1 node, 1 row, 1 column
 }
 
-func ExampleNetwork_SimulateTraffic() {
-	net, err := extmesh.New(12, 12, paperFaults())
-	if err != nil {
-		log.Fatal(err)
-	}
-	opts := extmesh.DefaultTrafficOptions()
-	opts.Cycles = 200
-	opts.Warmup = 40
-	st, err := net.SimulateTraffic(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("all delivered packets minimal:", st.AvgStretch == 1.0)
-	fmt.Println("stranded:", st.Undeliverable)
-	// Output:
-	// all delivered packets minimal: true
-	// stranded: 0
-}
-
 func ExampleNetwork_HasMinimalPathAvoidingBlocks() {
 	net, err := extmesh.New(12, 12, paperFaults())
 	if err != nil {

@@ -37,9 +37,9 @@ const (
 	// (DynamicNetwork.Apply order).
 	OpApply = "apply"
 	// OpEvents applies an ordered fail/recover event sequence one
-	// event at a time — the admin inject-schedule form, which can
-	// interleave failures and recoveries in ways a two-list batch
-	// cannot express.
+	// event at a time. The server no longer writes it (it came from a
+	// removed fault-schedule admin form); recovery still replays it,
+	// so data directories that hold such records stay readable.
 	OpEvents = "events"
 	// OpEpoch bumps the cluster epoch (failover fencing). The record
 	// mutates no mesh state; journaling it makes a promotion durable
@@ -65,7 +65,7 @@ type Record struct {
 	Fail    []extmesh.Coord `json:"fail,omitempty"`    // OpApply
 	Recover []extmesh.Coord `json:"recover,omitempty"` // OpApply
 	Events  []FaultEvent    `json:"events,omitempty"`  // OpEvents
-	Spec    string          `json:"spec,omitempty"`    // OpEvents: provenance (inject spec)
+	Spec    string          `json:"spec,omitempty"`    // OpEvents: provenance (schedule spec)
 	Epoch   uint64          `json:"epoch,omitempty"`   // OpEpoch: new cluster epoch
 }
 

@@ -63,23 +63,6 @@ func (d Dir) Opposite() Dir {
 	}
 }
 
-// DirTo returns the direction of the single hop from a to an adjacent
-// node b, and false if a and b are not adjacent.
-func DirTo(a, b Coord) (Dir, bool) {
-	switch {
-	case b.X == a.X+1 && b.Y == a.Y:
-		return East, true
-	case b.X == a.X-1 && b.Y == a.Y:
-		return West, true
-	case b.X == a.X && b.Y == a.Y+1:
-		return North, true
-	case b.X == a.X && b.Y == a.Y-1:
-		return South, true
-	default:
-		return 0, false
-	}
-}
-
 // Quadrant returns the quadrant (1..4) of d relative to s following the
 // paper's convention: quadrant I is northeast (xd >= xs, yd >= ys),
 // II northwest, III southwest, IV southeast. Ties on an axis are folded

@@ -179,29 +179,6 @@ func TestDirections(t *testing.T) {
 	}
 }
 
-func TestDirTo(t *testing.T) {
-	u := Coord{3, 3}
-	tests := []struct {
-		b    Coord
-		want Dir
-		ok   bool
-	}{
-		{Coord{4, 3}, East, true},
-		{Coord{2, 3}, West, true},
-		{Coord{3, 4}, North, true},
-		{Coord{3, 2}, South, true},
-		{Coord{4, 4}, 0, false},
-		{Coord{3, 3}, 0, false},
-		{Coord{5, 3}, 0, false},
-	}
-	for _, tt := range tests {
-		d, ok := DirTo(u, tt.b)
-		if ok != tt.ok || d != tt.want {
-			t.Errorf("DirTo(%v,%v) = (%v,%v), want (%v,%v)", u, tt.b, d, ok, tt.want, tt.ok)
-		}
-	}
-}
-
 func TestQuadrant(t *testing.T) {
 	s := Coord{5, 5}
 	tests := []struct {

@@ -142,7 +142,7 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry is the process-wide registry the library hot paths
-// (reach cache, online fault stats) and the daemon share.
+// (the reach cache) and the daemon share.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.

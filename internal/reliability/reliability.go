@@ -14,7 +14,7 @@
 //
 //   - Randomness is never drawn from a stream owned by a worker. Every
 //     trial derives its own sub-streams from (seed, point, trial index)
-//     through inject.SubSeed, so workers are pure executors of trial
+//     through SubSeed (split.go), so workers are pure executors of trial
 //     indices and resharding cannot change what a trial samples.
 //   - Trial outcomes reduce into integer accumulators (counts, sums,
 //     sums of squares) with atomic adds. Integer addition commutes, so
@@ -41,7 +41,6 @@ import (
 
 	"extmesh/internal/analytic"
 	"extmesh/internal/core"
-	"extmesh/internal/inject"
 	"extmesh/internal/mesh"
 	"extmesh/internal/sim"
 )
@@ -249,7 +248,7 @@ type worker struct {
 	faulty []bool
 	rowHit []bool
 	colHit []bool
-	rng    inject.Rand
+	rng    Rand
 }
 
 func newWorker(m mesh.Mesh) *worker {

@@ -10,9 +10,6 @@ import (
 	"time"
 
 	"extmesh"
-	"extmesh/internal/inject"
-	"extmesh/internal/journal"
-	"extmesh/internal/mesh"
 	"extmesh/internal/wire"
 )
 
@@ -27,9 +24,6 @@ const (
 	// the region is split into single cells, and every level past that
 	// re-appends them all, so an unbounded level is unbounded work.
 	MaxPivotLevels = 8
-	// MaxSpecCycles bounds a fault spec's horizon: the random and
-	// transient generators draw once per cycle.
-	MaxSpecCycles = 10000
 	// MaxRequestBytes bounds a request body; the largest legitimate
 	// body is an uploaded network blob (dimensions plus fault list).
 	MaxRequestBytes = 8 << 20
@@ -398,56 +392,19 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	if d == nil {
 		return
 	}
-	var applied, skipped int
-	if req.Spec != "" {
-		if len(req.Fail) > 0 || len(req.Recover) > 0 {
-			writeError(w, http.StatusBadRequest, "spec and explicit fail/recover lists are mutually exclusive")
-			return
-		}
-		cycles := req.Cycles
-		if cycles <= 0 {
-			cycles = 1000
-		}
-		if cycles > MaxSpecCycles {
-			writeError(w, http.StatusBadRequest, "spec horizon of %d cycles exceeds the %d limit", cycles, MaxSpecCycles)
-			return
-		}
-		// A spec is bounded like an explicit list: at most MaxBatch
-		// events, refused whole before any is applied.
-		m := mesh.Mesh{Width: d.Width(), Height: d.Height()}
-		sched, err := inject.Parse(m, cycles, req.Seed, req.Spec, MaxBatch)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// Apply event by event: schedule order interleaves fails and
-		// recoveries (a transient fault recovers before the next one
-		// arrives), which a two-list batch cannot express.
-		events := make([]journal.FaultEvent, len(sched))
-		for i, ev := range sched {
-			events[i] = journal.FaultEvent{Op: ev.Op.String(), Node: ev.Node}
-		}
-		applied, skipped, err = s.persist.applyEvents(name, d, events, req.Spec)
-		if err != nil {
-			writeMutationError(w, err, http.StatusBadRequest)
-			return
-		}
-	} else {
-		if len(req.Fail)+len(req.Recover) == 0 {
-			writeError(w, http.StatusBadRequest, "nothing to apply: need fail, recover or spec")
-			return
-		}
-		if len(req.Fail)+len(req.Recover) > MaxBatch {
-			writeError(w, http.StatusBadRequest, "batch of %d events exceeds the %d limit",
-				len(req.Fail)+len(req.Recover), MaxBatch)
-			return
-		}
-		var err error
-		applied, skipped, err = s.persist.apply(name, d, req.Fail, req.Recover)
-		if err != nil {
-			writeMutationError(w, err, http.StatusBadRequest)
-			return
-		}
+	if len(req.Fail)+len(req.Recover) == 0 {
+		writeError(w, http.StatusBadRequest, "nothing to apply: need fail or recover")
+		return
+	}
+	if len(req.Fail)+len(req.Recover) > MaxBatch {
+		writeError(w, http.StatusBadRequest, "batch of %d events exceeds the %d limit",
+			len(req.Fail)+len(req.Recover), MaxBatch)
+		return
+	}
+	applied, skipped, err := s.persist.apply(name, d, req.Fail, req.Recover)
+	if err != nil {
+		writeMutationError(w, err, http.StatusBadRequest)
+		return
 	}
 	if applied > 0 && !s.confirmWrite(w) {
 		return

@@ -154,35 +154,6 @@ func (p *persister) apply(name string, d *extmesh.DynamicNetwork, fail, recover 
 	return applied, skipped, err
 }
 
-// applyEvents runs an ordered event sequence one event at a time —
-// the inject-schedule admin path, which interleaves failures and
-// recoveries — and journals the attempted sequence with its spec for
-// provenance. On a midway error only the attempted prefix is recorded.
-func (p *persister) applyEvents(name string, d *extmesh.DynamicNetwork, events []journal.FaultEvent, spec string) (applied, skipped int, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	done := 0
-	for _, ev := range events {
-		var a, sk int
-		if ev.Op == "fail" {
-			a, sk, err = d.Apply([]extmesh.Coord{ev.Node}, nil)
-		} else {
-			a, sk, err = d.Apply(nil, []extmesh.Coord{ev.Node})
-		}
-		applied, skipped = applied+a, skipped+sk
-		if err != nil {
-			break
-		}
-		done++
-	}
-	if applied > 0 {
-		if jerr := p.append(journal.Record{Op: journal.OpEvents, Name: name, Events: events[:done], Spec: spec}); err == nil {
-			err = jerr
-		}
-	}
-	return applied, skipped, err
-}
-
 // snapshotState collects the registry's durable state under p.mu, so
 // the snapshot is a consistent point between mutations.
 func (p *persister) snapshotState() (map[string]journal.SnapshotMesh, error) {
@@ -303,6 +274,8 @@ func (s *Server) applyRecord(r journal.Record) error {
 		// deterministic mutation on identical state.
 		d.Apply(r.Fail, r.Recover)
 	case journal.OpEvents:
+		// Written only by servers that still had the fault-schedule
+		// admin form; replayed so their data directories recover.
 		d := s.meshes.Get(r.Name)
 		if d == nil {
 			return nil

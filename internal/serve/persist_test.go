@@ -55,6 +55,60 @@ func postJSON(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
+// TestRecoverReplaysEventsRecord boots a server over a data directory
+// that holds an OpEvents record, which servers wrote for the removed
+// fault-schedule admin form: an ordered, interleaved fail/recover
+// sequence with its spec as provenance. Recovery must still replay it
+// event by event, so such directories keep their faults and version.
+func TestRecoverReplaysEventsRecord(t *testing.T) {
+	dir := t.TempDir()
+	store, err := journal.Open(dir, journal.Options{Metrics: metrics.NewRegistry(), Policy: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := extmesh.NewDynamic(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := putRecord("m", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := func(op string, x, y int) journal.FaultEvent {
+		return journal.FaultEvent{Op: op, Node: extmesh.Coord{X: x, Y: y}}
+	}
+	for _, r := range []journal.Record{put, {
+		Op:     journal.OpEvents,
+		Name:   "m",
+		Events: []journal.FaultEvent{ev("fail", 5, 5), ev("fail", 7, 7), ev("recover", 5, 5), ev("fail", 6, 6), ev("fail", 6, 6)},
+		Spec:   "fail@0:5,5;fail@0:7,7;recover@1:5,5;fail@2:6,6;fail@3:6,6",
+	}} {
+		if _, err := store.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	live, _ := newJournaledServer(t, dir, journal.Options{})
+	got := live.Meshes().Get("m")
+	if got == nil {
+		t.Fatal("mesh m not recovered")
+	}
+	// Four events change state; the repeated fail of 6,6 is skipped.
+	faults := got.Faults()
+	if len(faults) != 2 || !got.IsFaulty(extmesh.Coord{X: 6, Y: 6}) || !got.IsFaulty(extmesh.Coord{X: 7, Y: 7}) {
+		t.Errorf("recovered faults = %v, want 6,6 and 7,7", faults)
+	}
+	if got.Version() != 4 {
+		t.Errorf("recovered version = %d, want 4", got.Version())
+	}
+}
+
 // TestJournaledMutationsSurviveRestart is the serve-layer durability
 // round trip: create, mutate and delete over HTTP, then recover a
 // fresh server from the same dir and compare registry state exactly.
@@ -71,9 +125,11 @@ func TestJournaledMutationsSurviveRestart(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/mesh/m/faults", `{"fail":[{"x":2,"y":2},{"x":3,"y":3}]}`); code != http.StatusOK {
 		t.Fatalf("faults = %d", code)
 	}
-	// An inject-schedule admin event: interleaved fail/recover.
-	if code, _ := postJSON(t, ts.URL+"/v1/mesh/m/faults", `{"spec":"fail@0:5,5;recover@1:5,5;fail@2:6,6","cycles":10}`); code != http.StatusOK {
-		t.Fatalf("spec faults = %d", code)
+	// An interleaved fail, repair, fail sequence, one request per step.
+	for _, body := range []string{`{"fail":[{"x":5,"y":5}]}`, `{"recover":[{"x":5,"y":5}]}`, `{"fail":[{"x":6,"y":6}]}`} {
+		if code, _ := postJSON(t, ts.URL+"/v1/mesh/m/faults", body); code != http.StatusOK {
+			t.Fatalf("faults %s = %d", body, code)
+		}
 	}
 	// A recover of an existing fault plus a skipped duplicate.
 	if code, _ := postJSON(t, ts.URL+"/v1/mesh/m/faults", `{"fail":[{"x":2,"y":2}],"recover":[{"x":3,"y":3}]}`); code != http.StatusOK {

@@ -72,8 +72,8 @@ type Options struct {
 	// default (which the library hot paths already feed).
 	Metrics *metrics.Registry
 	// Journal, when non-nil, makes every registry mutation durable:
-	// mesh creations, uploads and deletions, fault batches, and admin
-	// inject schedules are appended to the store before the response
+	// mesh creations, uploads and deletions, and fault batches are
+	// appended to the store before the response
 	// acknowledges them. The server starts not-ready; call Recover
 	// (which replays the store into the registry) before serving.
 	Journal *journal.Store

@@ -108,18 +108,12 @@ type MeshState struct {
 	Version uint64          `json:"version"`
 }
 
-// FaultsRequest is the POST .../faults body: either explicit fail and
-// recover lists, or an inject schedule spec ("random:rate=0.01",
-// "bursts:count=2,size=6", "fail@0:3,4;recover@9:3,4", ...) whose
-// events are applied in schedule order. The two are mutually
-// exclusive. Either form carries at most serve.MaxBatch events, and a
-// spec's horizon is at most serve.MaxSpecCycles cycles.
+// FaultsRequest is the POST .../faults body: a fail list and a recover
+// list, applied fails first (DynamicNetwork.Apply order). Together
+// they carry at least one and at most serve.MaxBatch events.
 type FaultsRequest struct {
 	Fail    []extmesh.Coord `json:"fail,omitempty"`
 	Recover []extmesh.Coord `json:"recover,omitempty"`
-	Spec    string          `json:"spec,omitempty"`
-	Cycles  int             `json:"cycles,omitempty"` // spec horizon (default 1000)
-	Seed    int64           `json:"seed,omitempty"`   // spec generator seed
 }
 
 // FaultsResult reports what a fault batch changed.

@@ -123,7 +123,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		&Results[bool]{Results: []bool{true, false}},
 		&SafeResult{Safe: true},
 		&ExistsResult{Exists: true},
-		&FaultsRequest{Spec: "random:rate=0.1", Cycles: 10, Seed: 3},
+		&FaultsRequest{Fail: []extmesh.Coord{c(1, 1)}, Recover: []extmesh.Coord{c(2, 2)}},
 		&ErrorBody{Error: "fenced", Code: "fenced"},
 	}
 	for _, v := range values {

@@ -205,12 +205,6 @@ func (e Endpoints) ApplyFaults(ctx context.Context, mesh string, req FaultsReque
 	return callFor[FaultsResult](ctx, e.write, http.MethodPost, meshPath(mesh, "/faults"), req, false)
 }
 
-// InjectSpec applies an inject-schedule spec ("random:rate=0.01",
-// "fail@0:3,4;recover@9:3,4", ...) with the given horizon and seed.
-func (e Endpoints) InjectSpec(ctx context.Context, mesh, spec string, cycles int, seed int64) (*FaultsResult, error) {
-	return e.ApplyFaults(ctx, mesh, FaultsRequest{Spec: spec, Cycles: cycles, Seed: seed})
-}
-
 // Stats fetches the per-mesh observability view.
 func (e Endpoints) Stats(ctx context.Context, mesh string) (*Stats, error) {
 	return callFor[Stats](ctx, e.read, http.MethodGet, meshPath(mesh, "/stats"), nil, true)

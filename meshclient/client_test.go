@@ -302,7 +302,7 @@ func TestTypedEndpointsAgainstRealServer(t *testing.T) {
 	if fr.Applied != 1 || fr.Faults != 2 {
 		t.Errorf("ApplyFaults = %+v, want applied=1 faults=2", fr)
 	}
-	if _, err := c.InjectSpec(ctx, "m", "fail@0:10,10", 10, 1); err != nil {
+	if _, err := c.ApplyFaults(ctx, "m", FaultsRequest{Fail: []extmesh.Coord{{X: 10, Y: 10}}}); err != nil {
 		t.Fatal(err)
 	}
 
