@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages with lock-guarded or worker-pool concurrency that the race
 # detector must cover.
-RACE_PKGS = . ./internal/wang ./internal/safety ./internal/sim ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved ./cmd/meshstress
+RACE_PKGS = . ./internal/wang ./internal/safety ./internal/sim ./internal/serve ./internal/metrics ./internal/journal ./internal/wire ./internal/chaos ./internal/reliability ./meshclient ./cmd/meshserved
 
 .PHONY: all build test vet fmt race bench bench-smoke bench-diff perf-smoke smoke chaos rel-smoke paper loc verify clean
 
@@ -79,10 +79,11 @@ perf-smoke:
 		esac; \
 	done
 
-# smoke boots meshserved on an ephemeral port and drives a short
-# meshstress run against it (the cmd tests do this in-process too).
+# smoke runs meshserved's tests, which boot real daemons: in-process
+# on ephemeral ports (queries, drain, a primary/replica pair) and as
+# built processes (crash recovery, the kill-the-primary audit).
 smoke: build
-	$(GO) test ./cmd/meshserved ./cmd/meshstress
+	$(GO) test ./cmd/meshserved
 
 # chaos is the crash-safety gate: kill -9 a journaled meshserved
 # mid-mutation-sequence and require bit-identical recovery, then run
@@ -95,14 +96,13 @@ smoke: build
 # with a follower promoting into a new epoch and the old primary
 # rejoining demoted, dueling primaries across a healed partition ending
 # with one writable winner, and goodbye-driven fast failover — all with
-# zero acknowledged-write loss. The meshstress kill-the-primary audit
-# then proves the same over three real daemon processes and a real
-# SIGKILL. A short fuzz run over the replication frame decoder
-# (including its epoch field) rides along.
+# zero acknowledged-write loss. meshserved's TestFailoverSmoke, run
+# first beside the crash tests, proves the same over three real daemon
+# processes and a real SIGKILL. A short fuzz run over the replication
+# frame decoder (including its epoch field) rides along.
 chaos: build
-	$(GO) test ./cmd/meshserved -run 'TestCrashRecovery|TestRestartAfterGracefulDrain' -count=1
+	$(GO) test ./cmd/meshserved -run 'TestCrashRecovery|TestRestartAfterGracefulDrain|TestFailoverSmoke' -count=1
 	$(GO) test -race ./internal/chaos ./meshclient
-	$(GO) test ./cmd/meshstress -run TestFailoverSmoke -count=1
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzReplicationFrames -fuzztime 5s
 
 # rel-smoke is the reliability-engine gate: a small Monte Carlo sweep

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -15,7 +14,7 @@ import (
 	"extmesh/meshclient"
 )
 
-// buildDaemon compiles the meshserved binary once per test run.
+// buildDaemon compiles the meshserved binary into the test's temp dir.
 func buildDaemon(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "meshserved")
@@ -30,24 +29,8 @@ func buildDaemon(t *testing.T) string {
 // /readyz answers 200. It returns the process and a client.
 func startDaemon(t *testing.T, bin, dataDir string) (*exec.Cmd, *meshclient.Client) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-
-	cmd := exec.Command(bin, "-addr", addr, "-data-dir", dataDir, "-fsync", "always", "-quiet")
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	})
-
+	addr := freeAddr(t)
+	cmd := startProcess(t, bin, "-addr", addr, "-data-dir", dataDir, "-fsync", "always", "-quiet")
 	c, err := meshclient.New(meshclient.Options{
 		BaseURL:     "http://" + addr,
 		BaseBackoff: 5 * time.Millisecond,
@@ -56,16 +39,14 @@ func startDaemon(t *testing.T, bin, dataDir string) (*exec.Cmd, *meshclient.Clie
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
+	waitFor(t, 15*time.Second, func() error {
 		ready, err := c.Ready(context.Background())
-		if err == nil && ready {
-			return cmd, c
+		if err == nil && !ready {
+			err = fmt.Errorf("daemon on %s not ready", addr)
 		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	t.Fatalf("daemon on %s never became ready", addr)
-	return nil, nil
+		return err
+	})
+	return cmd, c
 }
 
 // batchFor is the scripted mutation sequence both the crashed and the

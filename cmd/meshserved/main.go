@@ -19,8 +19,7 @@
 // With -binary-addr a second listener serves the query plane over the
 // length-prefixed binary wire protocol (pipelined persistent
 // connections, same answers as the JSON endpoints at a fraction of the
-// per-query cost); see meshclient.BinaryClient and meshstress -proto
-// binary.
+// per-query cost); see meshclient.BinaryClient.
 //
 // With -replication-addr a journaled daemon also serves its journal to
 // read replicas over a CRC-framed TCP stream; a daemon started with

@@ -7,10 +7,131 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// The daemon harness shared by every test in this package: in-process
+// daemons (startRun), daemon processes (startProcess), ephemeral
+// addresses, a log buffer safe to read while the daemon writes, and one
+// deadline-bounded poll.
+
+// freeAddr reserves an ephemeral loopback port and releases it for a
+// daemon to re-listen on; the tiny reuse race is acceptable in tests.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	return addr
+}
+
+// lockedBuffer collects a daemon's log; the test may read it while the
+// daemon's goroutines or the exec package's copier are still writing.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// waitFor polls cond until it returns nil and fails the test with
+// cond's last error if that takes longer than timeout.
+func waitFor(t *testing.T, timeout time.Duration, cond func() error) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		err := cond()
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gave up after %s: %v", timeout, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// startRun runs the daemon in-process with args until ctx is cancelled.
+// It returns the daemon's log and a channel that yields run's result;
+// the log is printed if the test fails.
+func startRun(t *testing.T, ctx context.Context, args ...string) (*lockedBuffer, <-chan error) {
+	t.Helper()
+	out := &lockedBuffer{}
+	errc := make(chan error, 1)
+	go func() { errc <- run(ctx, args, out) }()
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("meshserved %s log:\n%s", strings.Join(args, " "), out)
+		}
+	})
+	return out, errc
+}
+
+// waitExit requires an in-process daemon to return nil from run
+// within 10s of its context being cancelled.
+func waitExit(t *testing.T, errc <-chan error) {
+	t.Helper()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("run returned %v after cancel, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not drain")
+	}
+}
+
+// startProcess launches the built daemon binary with args. The process
+// is killed when the test ends, and its log is printed if the test
+// fails.
+func startProcess(t *testing.T, bin string, args ...string) *exec.Cmd {
+	t.Helper()
+	out := &lockedBuffer{}
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = out
+	cmd.Stderr = out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+		if t.Failed() {
+			t.Logf("meshserved %s log:\n%s", strings.Join(args, " "), out)
+		}
+	})
+	return cmd
+}
+
+// waitHealthy waits for the daemon at base to answer /healthz.
+func waitHealthy(t *testing.T, base string) {
+	t.Helper()
+	waitFor(t, 10*time.Second, func() error {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		return nil
+	})
+}
 
 func TestBuildMeshSpecs(t *testing.T) {
 	for _, tc := range []struct {
@@ -50,37 +171,12 @@ func TestBuildMeshSpecs(t *testing.T) {
 // preloaded mesh, queries it over real HTTP, then cancels the context
 // and requires a clean drain.
 func TestDaemonEndToEnd(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close() // run re-listens on the same port
-
+	addr := freeAddr(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var out bytes.Buffer
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, []string{
-			"-addr", addr, "-mesh", "m:16x16:5:1", "-quiet", "-drain-timeout", "2s",
-		}, &out)
-	}()
-
+	out, errc := startRun(t, ctx, "-addr", addr, "-mesh", "m:16x16:5:1", "-quiet", "-drain-timeout", "2s")
 	base := "http://" + addr
-	// Wait for the daemon to come up.
-	var resp *http.Response
-	for i := 0; i < 100; i++ {
-		resp, err = http.Get(base + "/healthz")
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("daemon never came up: %v\n%s", err, out.String())
-	}
-	resp.Body.Close()
+	waitHealthy(t, base)
 
 	body := strings.NewReader(`{"src":{"x":0,"y":0},"dst":{"x":15,"y":15}}`)
 	r2, err := http.Post(base+"/v1/mesh/m/route", "application/json", body)
@@ -99,14 +195,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	cancel()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("run returned %v after cancel, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("daemon did not drain")
-	}
+	waitExit(t, errc)
 	if !strings.Contains(out.String(), "drained") {
 		t.Errorf("missing drain log:\n%s", out.String())
 	}
@@ -136,34 +225,6 @@ func TestDaemonAddrInUse(t *testing.T) {
 	}
 }
 
-// freeAddr reserves an ephemeral port and releases it for run() to
-// re-listen on — the same pattern TestDaemonEndToEnd uses.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
-
-func waitHealthy(t *testing.T, base string, out fmt.Stringer) {
-	t.Helper()
-	var err error
-	for i := 0; i < 150; i++ {
-		var resp *http.Response
-		resp, err = http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("daemon never came up: %v\n%s", err, out.String())
-}
-
 func TestReplicationFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-replication-addr", ":0"},        // no -data-dir
@@ -186,16 +247,11 @@ func TestDrainClosesAllPlanes(t *testing.T) {
 	addr, binAddr, repAddr := freeAddr(t), freeAddr(t), freeAddr(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var out bytes.Buffer
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run(ctx, []string{
-			"-addr", addr, "-binary-addr", binAddr,
-			"-data-dir", t.TempDir(), "-replication-addr", repAddr,
-			"-mesh", "m:8x8:2:1", "-quiet", "-drain-timeout", "2s",
-		}, &out)
-	}()
-	waitHealthy(t, "http://"+addr, &out)
+	_, errc := startRun(t, ctx,
+		"-addr", addr, "-binary-addr", binAddr,
+		"-data-dir", t.TempDir(), "-replication-addr", repAddr,
+		"-mesh", "m:8x8:2:1", "-quiet", "-drain-timeout", "2s")
+	waitHealthy(t, "http://"+addr)
 
 	// A persistent, idle binary connection — exactly what a pipelining
 	// client parks between bursts.
@@ -206,14 +262,7 @@ func TestDrainClosesAllPlanes(t *testing.T) {
 	defer conn.Close()
 
 	cancel()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("run returned %v after cancel, want nil", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not drain with a parked binary connection")
-	}
+	waitExit(t, errc)
 	// The parked connection must have been closed by the drain.
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
@@ -230,23 +279,14 @@ func TestDaemonReplicaPair(t *testing.T) {
 	rAddr := freeAddr(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var pOut, rOut bytes.Buffer
-	perrc := make(chan error, 1)
-	go func() {
-		perrc <- run(ctx, []string{
-			"-addr", pAddr, "-data-dir", t.TempDir(), "-replication-addr", repAddr,
-			"-quiet", "-drain-timeout", "2s",
-		}, &pOut)
-	}()
-	waitHealthy(t, "http://"+pAddr, &pOut)
-	rerrc := make(chan error, 1)
-	go func() {
-		rerrc <- run(ctx, []string{
-			"-addr", rAddr, "-data-dir", t.TempDir(), "-replicate-from", repAddr,
-			"-quiet", "-drain-timeout", "2s",
-		}, &rOut)
-	}()
-	waitHealthy(t, "http://"+rAddr, &rOut)
+	_, perrc := startRun(t, ctx,
+		"-addr", pAddr, "-data-dir", t.TempDir(), "-replication-addr", repAddr,
+		"-quiet", "-drain-timeout", "2s")
+	waitHealthy(t, "http://"+pAddr)
+	_, rerrc := startRun(t, ctx,
+		"-addr", rAddr, "-data-dir", t.TempDir(), "-replicate-from", repAddr,
+		"-quiet", "-drain-timeout", "2s")
+	waitHealthy(t, "http://"+rAddr)
 
 	// Create a mesh and inject faults on the primary.
 	body := strings.NewReader(`{"name":"m","width":16,"height":16,"faults":[{"x":4,"y":4},{"x":5,"y":5}]}`)
@@ -262,26 +302,24 @@ func TestDaemonReplicaPair(t *testing.T) {
 	// The replica converges: same mesh, same route answer.
 	route := `{"src":{"x":0,"y":0},"dst":{"x":15,"y":15}}`
 	var hops int
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	waitFor(t, 10*time.Second, func() error {
 		r, err := http.Post("http://"+rAddr+"/v1/mesh/m/route", "application/json", strings.NewReader(route))
-		if err == nil && r.StatusCode == 200 {
-			var rr struct {
-				Hops int `json:"hops"`
-			}
-			json.NewDecoder(r.Body).Decode(&rr)
-			r.Body.Close()
-			hops = rr.Hops
-			break
+		if err != nil {
+			return err
 		}
-		if err == nil {
-			r.Body.Close()
+		defer r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			return fmt.Errorf("replica route = %d, want 200", r.StatusCode)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never served the mesh\nprimary:\n%s\nreplica:\n%s", pOut.String(), rOut.String())
+		var rr struct {
+			Hops int `json:"hops"`
 		}
-		time.Sleep(25 * time.Millisecond)
-	}
+		if err := json.NewDecoder(r.Body).Decode(&rr); err != nil {
+			return err
+		}
+		hops = rr.Hops
+		return nil
+	})
 	pr, err := http.Post("http://"+pAddr+"/v1/mesh/m/route", "application/json", strings.NewReader(route))
 	if err != nil {
 		t.Fatal(err)
@@ -321,14 +359,6 @@ func TestDaemonReplicaPair(t *testing.T) {
 	}
 
 	cancel()
-	for _, c := range []chan error{perrc, rerrc} {
-		select {
-		case err := <-c:
-			if err != nil {
-				t.Fatalf("daemon exit: %v\nprimary:\n%s\nreplica:\n%s", err, pOut.String(), rOut.String())
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("daemon did not drain")
-		}
-	}
+	waitExit(t, perrc)
+	waitExit(t, rerrc)
 }

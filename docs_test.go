@@ -10,9 +10,10 @@ import (
 )
 
 // referenceDocs are the documents that describe the repository as it
-// is; CHANGES.md and ROADMAP.md are history and plans, free to name
-// code that is gone or not yet written.
-var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+// is, the build-and-run recipe in the verify skill included; CHANGES.md
+// and ROADMAP.md are history and plans, free to name code that is gone
+// or not yet written.
+var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 var (
 	// docPath matches a repository path such as internal/serve,

@@ -363,7 +363,7 @@ func TestClusterStreamChaosConvergence(t *testing.T) {
 }
 
 // TestClusterClientZeroWrongAnswersAcrossReplicaKill drives a
-// meshstress-style read load through the cluster client while one
+// closed-loop read load through the cluster client while one
 // replica is killed mid-run. Errors and retries are tolerated; a wrong
 // answer — stale or diverged — is not.
 func TestClusterClientZeroWrongAnswersAcrossReplicaKill(t *testing.T) {

@@ -141,16 +141,6 @@ func (c *ClusterClient) primaryNode() *clusterNode {
 	return c.nodes[int(c.primaryIdx.Load())%len(c.nodes)]
 }
 
-// ReplicaClients exposes the per-replica node clients in option order
-// (the initially configured replicas, regardless of later failovers).
-func (c *ClusterClient) ReplicaClients() []*Client {
-	out := make([]*Client, 0, len(c.nodes)-1)
-	for _, n := range c.nodes[1:] {
-		out = append(out, n.client)
-	}
-	return out
-}
-
 // Counts returns the cluster-level accounting so far.
 func (c *ClusterClient) Counts() ClusterCounts {
 	return ClusterCounts{

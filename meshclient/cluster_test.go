@@ -392,11 +392,11 @@ func TestClusterAgainstRealReplication(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	before := c.ReplicaClients()[0].Counts().Requests
+	before := c.nodes[1].client.Counts().Requests
 	if _, err := c.Route(cctx, "m", Query{Src: src, Dst: dst}); err != nil {
 		t.Fatal(err)
 	}
-	if c.ReplicaClients()[0].Counts().Requests == before {
+	if c.nodes[1].client.Counts().Requests == before {
 		t.Fatal("caught-up replica did not serve the read")
 	}
 
